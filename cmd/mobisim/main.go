@@ -61,6 +61,7 @@ import (
 	"mobilenet/internal/grid"
 	"mobilenet/internal/mobility"
 	"mobilenet/internal/prof"
+	"mobilenet/internal/step"
 	"mobilenet/internal/sweep"
 	"mobilenet/internal/trace"
 )
@@ -167,7 +168,7 @@ func run(args []string) error {
 		if *profFlag || *execOut != "" {
 			return fmt.Errorf("-profile/-trace-out are not supported with trace mobility (profiling is a scenario feature)")
 		}
-		return runTraceMobility(engine, *n, *k, *r, *seed, *mobSpec, *preys, *curve, *traceOut)
+		return runTraceMobility(engine, *n, *k, *r, *seed, *mobSpec, *preys, *maxSteps, *curve, *traceOut)
 	}
 
 	sc, err := buildScenario(fs, *specPath, engine, *n, *k, *r, *seed, *mobSpec, *preys, *reps, *maxSteps, *par, *curve,
@@ -220,7 +221,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		return tracedBroadcast(net, sc.Seed, sc.Radius, mob, *traceOut)
+		return tracedBroadcast(net, sc.Seed, sc.Radius, sc.MaxSteps, mob, *traceOut)
 	}
 
 	var res *mobilenet.ScenarioResult
@@ -546,14 +547,15 @@ func isTraceMobility(spec string) bool {
 }
 
 // runTraceMobility executes the one non-scenario path: trace-replay motion,
-// driven through the library API.
-func runTraceMobility(engine string, n, k, r int, seed uint64, mobSpec string, preys int, curve bool, traceOut string) error {
+// driven through the library API under the -max-steps cap (0 selects the
+// engine's default).
+func runTraceMobility(engine string, n, k, r int, seed uint64, mobSpec string, preys, maxSteps int, curve bool, traceOut string) error {
 	mob, err := mobilenet.ParseMobility(mobSpec)
 	if err != nil {
 		return err
 	}
-	net, err := mobilenet.New(n, k,
-		mobilenet.WithRadius(r), mobilenet.WithSeed(seed), mobilenet.WithMobility(mob))
+	net, err := mobilenet.New(n, k, mobilenet.WithRadius(r), mobilenet.WithSeed(seed),
+		mobilenet.WithMobility(mob), mobilenet.WithMaxSteps(maxSteps))
 	if err != nil {
 		return err
 	}
@@ -566,7 +568,7 @@ func runTraceMobility(engine string, n, k, r int, seed uint64, mobSpec string, p
 		if err != nil {
 			return err
 		}
-		return tracedBroadcast(net, seed, r, m, traceOut)
+		return tracedBroadcast(net, seed, r, maxSteps, m, traceOut)
 	}
 	var rep mobilenet.ScenarioRep
 	switch engine {
@@ -653,18 +655,21 @@ func printEngineResult(net *mobilenet.Network, engine string, rep mobilenet.Scen
 	}
 }
 
-// tracedBroadcast runs a broadcast step by step, recording every position
-// into a trace file for later replay/debugging. Recording requires a
-// unit-step mobility model (lazy or waypoint); torus-wrapping models
-// produce displacements the delta encoding rejects.
-func tracedBroadcast(net *mobilenet.Network, seed uint64, radius int, mob mobility.Model, path string) error {
+// tracedBroadcast runs a broadcast step by step through the step driver,
+// recording every position into a trace file for later replay/debugging.
+// The run stops at full dissemination or at the step cap (maxSteps, 0 for
+// the engine's default), and a capped run is reported as such. Recording
+// requires a unit-step mobility model (lazy or waypoint); torus-wrapping
+// models produce displacements the delta encoding rejects.
+func tracedBroadcast(net *mobilenet.Network, seed uint64, radius, maxSteps int, mob mobility.Model, path string) error {
 	g, err := grid.New(net.Side())
 	if err != nil {
 		return err
 	}
-	b, err := core.NewBroadcast(core.Config{
-		Grid: g, K: net.Agents(), Radius: radius, Seed: seed, Source: 0, Mobility: mob,
-	})
+	cfg := core.Config{
+		Grid: g, K: net.Agents(), Radius: radius, Seed: seed, Source: 0, MaxSteps: maxSteps, Mobility: mob,
+	}
+	b, err := core.NewBroadcast(cfg)
 	if err != nil {
 		return err
 	}
@@ -672,13 +677,14 @@ func tracedBroadcast(net *mobilenet.Network, seed uint64, radius int, mob mobili
 	if err != nil {
 		return err
 	}
-	for !b.Done() {
-		b.Step()
+	d := step.New(b, step.Hooks{Cap: cfg.StepCap()})
+	for d.Next() {
 		if err := rec.Record(b.Population().Positions()); err != nil {
 			return err
 		}
 	}
-	report("broadcast time T_B", b.Time(), true)
+	res := b.Result()
+	report("broadcast time T_B", res.Steps, res.Completed)
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -117,6 +117,9 @@
 //   - internal/core, internal/frog, internal/coverage,
 //     internal/predator, internal/meeting, internal/barrier — the
 //     dissemination engines and lemma probes
+//   - internal/step — the one step driver every engine runs under: an
+//     engine is a state machine (step, done, time, sample) and the driver
+//     owns the step cap, cancellation, profiling and observation cadence
 //   - internal/obs — the per-step observation pipeline: time-series
 //     observables recorded with zero step-loop allocation, aggregated
 //     across replicates, rendered as NDJSON/CSV

@@ -7,12 +7,14 @@ import (
 	"mobilenet/internal/obs"
 	"mobilenet/internal/prof"
 	"mobilenet/internal/rng"
+	"mobilenet/internal/step"
 	"mobilenet/internal/visibility"
 )
 
 // Broadcast simulates the spread of a single rumor from one source agent to
 // the whole population. Construct with NewBroadcast, then either call Run
-// for the full simulation or Step to drive it manually.
+// for the full simulation or drive it through a step.Driver; it implements
+// step.Engine.
 type Broadcast struct {
 	cfg Config
 	pop *agent.Population
@@ -31,17 +33,14 @@ type Broadcast struct {
 
 	curve    []int
 	frontier []int32
-	maxComp  int
 
 	cells      *cellTracker // Theorem 1 tessellation bookkeeping; nil when off
 	sourceCell int
 
+	informedStep int // T_B, first step with every agent informed; -1 until then
 	coverageStep int // first step with |I(t)| = n; -1 until then
 
-	obsr        *obs.Recorder
 	sizeScratch []int32 // component-size buffer for the largest observable
-	lastComps   int     // component count at the last observed step
-	lastLargest int     // largest component size at the last observed step
 }
 
 // NewBroadcast validates cfg, places the population and performs the time-0
@@ -66,46 +65,40 @@ func NewBroadcast(cfg Config) (*Broadcast, error) {
 		informed:     bitset.New(cfg.K),
 		newly:        make([]int32, 0, cfg.K),
 		moved:        make([]int32, 0, cfg.K),
+		informedStep: -1,
 		coverageStep: -1,
 		frontierX:    -1,
-		obsr:         cfg.Observer,
 	}
 	b.src = cfg.Source
 	if b.src == SourceRandom {
 		b.src = src.Intn(cfg.K)
 	}
 	b.informed.Add(b.src)
-	if cfg.TrackInformedArea || cfg.RecordFrontier || (b.obsr != nil && b.obsr.NeedsCoverage()) {
+	if cfg.measuresCoverage() {
 		b.area = bitset.New(cfg.Grid.N())
-	}
-	if b.obsr != nil && b.obsr.NeedsComponents() {
-		b.sizeScratch = make([]int32, 0, cfg.K)
 	}
 	if cfg.CellSide > 0 {
 		b.cells = newCellTracker(cfg.Grid, cfg.CellSide)
 		b.sourceCell = int(b.cells.tess.CellOf(pop.Position(b.src)))
 	}
 	// Time-0 exchange on the initial configuration. The mark anchors the
-	// profiler so the time-0 flood and record are attributed like any step
-	// (the labeller laps index/label internally). No moved report exists
-	// yet, so the area trackers take their one full pass here.
+	// profiler so the time-0 flood is attributed like any step (the
+	// labeller laps index/label internally). No moved report exists yet, so
+	// the area trackers take their one full pass here.
 	cfg.Profile.Mark()
 	b.exchange(nil, false)
-	b.record()
 	return b, nil
 }
 
 // exchange floods the rumor through the connected components of the current
-// visibility graph and updates the informed-area trackers.
+// visibility graph, updates the informed-area trackers and appends the
+// recorded curves.
 //
-// The fast path never materialises component labels: visibility.Flood
-// spreads the informed bitset directly over the labeller's union-find
-// forest, returning the newly informed agents. Labels are computed only
-// when component statistics were requested for this step, in which case the
-// flood reuses them (FloodWithLabels) instead of touching the forest again.
-// Component work is skipped entirely once everyone is informed (the
-// coverage-continuation phase only needs positions), unless component
-// statistics force it.
+// The flood never materialises component labels: visibility.Flood spreads
+// the informed bitset directly over the labeller's union-find forest,
+// returning the newly informed agents. Component work is skipped entirely
+// once everyone is informed (the coverage-continuation phase only needs
+// positions); the component observables label on demand in Sample.
 //
 // moved, when movedOK, lists exactly the agents whose position changed in
 // the step that preceded this exchange; the area trackers then update from
@@ -114,30 +107,13 @@ func NewBroadcast(cfg Config) (*Broadcast, error) {
 // node the moment it became informed or last moved, so the sweep adds
 // nothing new — the t=0 full pass anchors the induction.
 func (b *Broadcast) exchange(moved []int32, movedOK bool) {
-	// An observer wanting component observables at this step forces the
-	// labelling even in the coverage-continuation phase, where it is
-	// otherwise skipped once everyone is informed.
-	observeComps := b.obsr != nil && b.obsr.NeedsComponents() && b.obsr.Wants(b.pop.Time())
 	k := b.pop.K()
 	b.newly = b.newly[:0]
-	if b.cfg.TrackComponents || observeComps {
-		labels, count := b.lab.Components(b.pop.Positions(), b.cfg.Radius)
-		// One size pass serves both the running maximum and the per-step
-		// observables.
-		var m int
-		m, b.sizeScratch = visibility.MaxSizeScratch(labels, count, b.sizeScratch)
-		if b.cfg.TrackComponents && m > b.maxComp {
-			b.maxComp = m
-		}
-		if observeComps {
-			b.lastComps = count
-			b.lastLargest = m
-		}
-		if b.informed.Len() < k {
-			b.newly = b.lab.FloodWithLabels(labels, count, b.informed, b.newly)
-		}
-	} else if b.informed.Len() < k {
+	if b.informed.Len() < k {
 		b.newly = b.lab.Flood(b.pop.Positions(), b.cfg.Radius, b.informed, b.newly)
+	}
+	if b.informedStep < 0 && b.informed.Len() == k {
+		b.informedStep = b.pop.Time()
 	}
 	if b.area != nil {
 		g := b.pop.Grid()
@@ -154,11 +130,7 @@ func (b *Broadcast) exchange(moved []int32, movedOK bool) {
 				b.touchArea(g, pos[i])
 			}
 		} else {
-			for i := 0; i < k; i++ {
-				if b.informed.Contains(i) {
-					b.touchArea(g, pos[i])
-				}
-			}
+			b.sweepArea()
 		}
 		if b.coverageStep < 0 && b.area.Len() == g.N() {
 			b.coverageStep = b.pop.Time()
@@ -185,8 +157,30 @@ func (b *Broadcast) exchange(moved []int32, movedOK bool) {
 		}
 	}
 	// Everything since the labeller's label lap (or the step's move lap
-	// when labelling was skipped) is dissemination work.
+	// when labelling was skipped) is dissemination work. The curve appends
+	// below fall to the driver's observe lap; the curves end at T_B, so the
+	// coverage continuation appends nothing.
 	b.cfg.Profile.Lap(prof.Spread)
+	if b.informedStep < 0 || b.informedStep == b.pop.Time() {
+		if b.cfg.RecordCurve {
+			b.curve = append(b.curve, b.informed.Len())
+		}
+		if b.cfg.RecordFrontier {
+			b.frontier = append(b.frontier, b.frontierX)
+		}
+	}
+}
+
+// sweepArea adds every informed agent's node to the informed area: the full
+// pass that anchors the incremental updates.
+func (b *Broadcast) sweepArea() {
+	g := b.pop.Grid()
+	pos := b.pop.Positions()
+	for i := range pos {
+		if b.informed.Contains(i) {
+			b.touchArea(g, pos[i])
+		}
+	}
 }
 
 // touchArea adds one agent position to the informed area and advances the
@@ -198,46 +192,49 @@ func (b *Broadcast) touchArea(g *grid.Grid, p grid.Point) {
 	}
 }
 
-func (b *Broadcast) record() {
-	if b.cfg.RecordCurve {
-		b.curve = append(b.curve, b.informed.Len())
-	}
-	if b.cfg.RecordFrontier {
-		b.frontier = append(b.frontier, b.frontierX)
-	}
-	if t := b.pop.Time(); b.obsr != nil && b.obsr.Wants(t) {
-		covered := 0
-		if b.area != nil {
-			covered = b.area.Len()
-		}
-		b.obsr.Record(t, obs.Sample{
-			Informed:   b.informed.Len(),
-			Components: b.lastComps,
-			Largest:    b.lastLargest,
-			Covered:    covered,
-			Nodes:      b.pop.Grid().N(),
-		})
-	}
-	b.cfg.Profile.Lap(prof.Observe)
-}
-
 // Step advances the system one time unit: all agents move synchronously,
 // then rumors flood the new components. Models that report per-step moves
 // feed the incremental area trackers; the trajectory is bit-identical
 // either way (see agent.Population.StepMoved).
 func (b *Broadcast) Step() {
-	p := b.cfg.Profile
-	p.Mark()
 	moved, ok := b.pop.StepMoved(b.moved[:0])
 	b.moved = moved
-	p.Lap(prof.Move)
+	b.cfg.Profile.Lap(prof.Move)
 	b.exchange(moved, ok)
-	b.record()
-	p.StepDone()
 }
 
-// Done reports whether every agent is informed.
-func (b *Broadcast) Done() bool { return b.informed.Len() == b.pop.K() }
+// Done reports whether the run is over: every agent is informed and, when
+// the run measures the coverage time T_C (Config.TrackInformedArea or
+// RecordFrontier), the informed area covers the grid. That continuation
+// past full dissemination is keyed on the config flags alone: the coverage
+// observable tracks the area too, but never changes when a run ends.
+func (b *Broadcast) Done() bool {
+	return b.informedStep >= 0 && (b.coverageStep >= 0 || !b.cfg.measuresCoverage())
+}
+
+// Sample returns the current step's observables. The component observables
+// label G_t(r) on demand, only when rec requests them. The coverage
+// observable tracks the informed area from time 0 — the driver samples time
+// 0 before the first step — even when the run does not measure T_C.
+func (b *Broadcast) Sample(rec *obs.Recorder) obs.Sample {
+	if b.area == nil && rec.NeedsCoverage() && b.pop.Time() == 0 {
+		b.area = bitset.New(b.pop.Grid().N())
+		b.sweepArea()
+	}
+	s := obs.Sample{Informed: b.informed.Len(), Nodes: b.pop.Grid().N()}
+	if b.area != nil {
+		s.Covered = b.area.Len()
+	}
+	if rec.NeedsComponents() {
+		if b.sizeScratch == nil {
+			b.sizeScratch = make([]int32, 0, b.pop.K())
+		}
+		labels, count := b.lab.Components(b.pop.Positions(), b.cfg.Radius)
+		s.Components = count
+		s.Largest, b.sizeScratch = visibility.MaxSizeScratch(labels, count, b.sizeScratch)
+	}
+	return s
+}
 
 // Time returns the current simulation time.
 func (b *Broadcast) Time() int { return b.pop.Time() }
@@ -276,51 +273,46 @@ type BroadcastResult struct {
 	Completed bool
 	// Source is the index of the source agent.
 	Source int
-	// InformedCurve holds the informed count after each step, starting with
-	// t=0 (present only with Config.RecordCurve).
+	// InformedCurve holds the informed count after each step from t=0 up to
+	// Steps (present only with Config.RecordCurve).
 	InformedCurve []int
 	// FrontierTrace holds the rightmost informed-area x-coordinate after
-	// each step, starting with t=0 (present only with Config.RecordFrontier).
+	// each step from t=0 up to Steps (present only with
+	// Config.RecordFrontier).
 	FrontierTrace []int32
 	// CoverageSteps is T_C, the first time the informed area covers every
 	// grid node; -1 if not reached or not tracked.
 	CoverageSteps int
-	// MaxComponent is the largest visibility component observed (present
-	// only with Config.TrackComponents).
-	MaxComponent int
 }
 
-// Run advances the simulation until every agent is informed or the step cap
-// is reached, and returns the result. When Config.TrackInformedArea is set,
-// the run continues after full information until the grid is covered (to
-// measure T_C), still subject to the step cap.
-func (b *Broadcast) Run() BroadcastResult {
-	stepCap := b.cfg.maxSteps()
-	for !b.Done() && b.pop.Time() < stepCap && !b.cfg.Cancel.Stop() {
-		b.Step()
-	}
+// Result reports the run as it stands: T_B once every agent is informed
+// (the current time otherwise), the recorded curves and, when the run
+// measures it, T_C.
+func (b *Broadcast) Result() BroadcastResult {
 	res := BroadcastResult{
 		Steps:         b.pop.Time(),
-		Completed:     b.Done(),
+		Completed:     b.informedStep >= 0,
 		Source:        b.src,
 		InformedCurve: b.curve,
 		FrontierTrace: b.frontier,
 		CoverageSteps: -1,
-		MaxComponent:  b.maxComp,
 	}
-	// The coverage continuation is keyed on the config flags, not on
-	// b.area: an observer that merely records the coverage fraction
-	// allocates the area bitset too, but must not change the run's
-	// semantics (no continuation past full dissemination, CoverageSteps
-	// stays -1).
-	if b.cfg.TrackInformedArea || b.cfg.RecordFrontier {
-		for b.coverageStep < 0 && b.pop.Time() < stepCap && !b.cfg.Cancel.Stop() {
-			b.Step()
-		}
+	if res.Completed {
+		res.Steps = b.informedStep
+	}
+	if b.cfg.measuresCoverage() {
 		res.CoverageSteps = b.coverageStep
-		res.MaxComponent = b.maxComp
 	}
 	return res
+}
+
+// Run drives the broadcast to completion (or the step cap) through the
+// step driver and returns the result. When Config.TrackInformedArea is set,
+// the run continues after full information until the grid is covered (to
+// measure T_C), still subject to the step cap.
+func (b *Broadcast) Run() BroadcastResult {
+	step.Run(b, step.Hooks{Cap: b.cfg.StepCap(), Profile: b.cfg.Profile})
+	return b.Result()
 }
 
 // RunBroadcast is the one-shot convenience wrapper used by most experiments.

@@ -11,10 +11,8 @@ import (
 	"fmt"
 	"math"
 
-	"mobilenet/internal/cancel"
 	"mobilenet/internal/grid"
 	"mobilenet/internal/mobility"
-	"mobilenet/internal/obs"
 	"mobilenet/internal/prof"
 	"mobilenet/internal/theory"
 	"mobilenet/internal/visibility"
@@ -57,14 +55,14 @@ type Config struct {
 	// TrackInformedArea enables the informed-area bitset I(t): the set of
 	// grid nodes visited by informed agents. Required for frontier and
 	// coverage measurements; costs one bitset write per informed agent step.
+	// It also measures the coverage time T_C: the broadcast runs on past
+	// full dissemination until I(t) covers the grid (see Broadcast.Done).
 	TrackInformedArea bool
 	// RecordCurve records the number of informed agents after every step.
 	RecordCurve bool
 	// RecordFrontier records the rightmost informed-area x-coordinate after
 	// every step (implies TrackInformedArea).
 	RecordFrontier bool
-	// TrackComponents records the largest visibility component seen.
-	TrackComponents bool
 	// CellSide, when positive, tessellates the grid into CellSide-sided
 	// cells and records the first time an informed agent enters each cell —
 	// the bookkeeping of the paper's Theorem 1 proof (cells of side
@@ -72,40 +70,14 @@ type Config struct {
 	// value.
 	CellSide int
 
-	// Observer, when non-nil, receives a per-step observation sample after
-	// every exchange (including the time-0 one), at the recorder's own
-	// cadence. Observables the engine cannot fill are recorded as zero;
-	// requesting component observables forces component labelling even in
-	// phases the engine could otherwise skip it, and requesting coverage
-	// forces informed-area tracking (but never the coverage-continuation
-	// phase — run semantics are unchanged). A capped recorder allocates
-	// nothing in the step loop; an uncapped one only on amortised slab
-	// growth (see obs.Recorder.Record).
-	Observer *obs.Recorder
-
 	// Profile, when non-nil, accumulates per-phase wall-clock time (move,
-	// index, label, spread, observe) across the run's steps. Purely an
-	// execution knob: results are identical with or without it, and a nil
-	// profile keeps the step loop allocation-free with only a branch per
-	// phase boundary. One replicate per profile; not reset by the engine.
+	// index, label, spread, observe) across the run's steps; pass the same
+	// profile to the step driver (step.Hooks.Profile), which owns the step
+	// boundary and the observe phase. Purely an execution knob: results are
+	// identical with or without it, and a nil profile keeps the step
+	// allocation-free with only a branch per phase boundary. One replicate
+	// per profile; not reset by the engine.
 	Profile *prof.StepProfile
-
-	// Cancel, when non-nil, is consulted in the run loop's condition: once
-	// it reports stopped (it polls its context with amortized cost, see
-	// internal/cancel) the run halts at the next step boundary and the
-	// result reports Completed false at the current step count. Purely an
-	// execution knob — a run that finishes without the check firing is
-	// bit-for-bit identical to an uncancellable one — and a nil check
-	// keeps the loop condition a constant-false branch.
-	Cancel *cancel.Check
-
-	// FullRelabel forces the component labeller to rebuild its spatial
-	// index and relabel from scratch every step instead of maintaining
-	// them incrementally. Results are bit-for-bit identical either way —
-	// the differential tests in internal/visibility pin that — so this is
-	// purely an execution knob, kept for ablation measurements and as a
-	// bisection lever when diagnosing a suspected kernel fault.
-	FullRelabel bool
 
 	// Placement, when non-nil, overrides the mobility model's initial
 	// placement with explicit agent positions (len == K, all on-grid).
@@ -149,20 +121,23 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// newLabeller builds the engine's component labeller with the configured
-// parallelism and profiler applied. Engines get the incremental kernel by
-// default; FullRelabel routes every call through the retained from-scratch
-// path (identical results, see visibility.Incremental).
+// measuresCoverage reports whether a broadcast measures the coverage time
+// T_C, which tracks the informed area and continues the run past full
+// dissemination until the area covers the grid.
+func (c *Config) measuresCoverage() bool { return c.TrackInformedArea || c.RecordFrontier }
+
+// newLabeller builds the engine's incremental component labeller with the
+// configured parallelism and profiler applied.
 func (c *Config) newLabeller() *visibility.Incremental {
 	l := visibility.NewIncremental(c.K)
 	l.SetParallelism(c.Parallelism)
 	l.SetProfile(c.Profile)
-	l.SetFullRebuild(c.FullRelabel)
 	return l
 }
 
-// maxSteps resolves the step cap, applying the default when unset.
-func (c *Config) maxSteps() int {
+// StepCap resolves the step cap the run is driven under: MaxSteps when
+// set, else the theory-derived default.
+func (c *Config) StepCap() int {
 	if c.MaxSteps > 0 {
 		return c.MaxSteps
 	}

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"mobilenet/internal/grid"
+	"mobilenet/internal/obs"
+	"mobilenet/internal/step"
 )
 
 func testConfig(side, k int, radius int, seed uint64) Config {
@@ -47,12 +49,12 @@ func TestConfigValidation(t *testing.T) {
 func TestDefaultMaxStepsPositive(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig(16, 4, 0, 1)
-	if got := cfg.maxSteps(); got < 4096 {
-		t.Errorf("default maxSteps = %d, want >= 4096", got)
+	if got := cfg.StepCap(); got < 4096 {
+		t.Errorf("default StepCap = %d, want >= 4096", got)
 	}
 	cfg.MaxSteps = 77
-	if got := cfg.maxSteps(); got != 77 {
-		t.Errorf("explicit maxSteps = %d, want 77", got)
+	if got := cfg.StepCap(); got != 77 {
+		t.Errorf("explicit StepCap = %d, want 77", got)
 	}
 }
 
@@ -237,16 +239,29 @@ func TestBroadcastStepByStepMatchesRun(t *testing.T) {
 	}
 }
 
+// TestBroadcastTrackComponents checks the per-step largest visibility
+// component, recorded by the largest_component observable at every step:
+// every sample, and so the run's maximum component, lies in [1, k].
 func TestBroadcastTrackComponents(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig(6, 10, 2, 37)
-	cfg.TrackComponents = true
-	res, err := RunBroadcast(cfg)
+	b, err := NewBroadcast(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MaxComponent < 1 || res.MaxComponent > 10 {
-		t.Errorf("MaxComponent = %d out of [1,10]", res.MaxComponent)
+	rec := obs.NewRecorder(obs.Spec{Observables: []string{obs.Largest}, Every: 1})
+	res := step.Run(b, step.Hooks{Cap: cfg.StepCap(), Observe: rec})
+	if !res.Completed {
+		t.Fatal("broadcast incomplete")
+	}
+	largest := rec.Series().Values[obs.Largest]
+	if len(largest) != res.Steps+1 {
+		t.Fatalf("%d largest-component samples for %d steps", len(largest), res.Steps)
+	}
+	for i, m := range largest {
+		if m < 1 || m > 10 {
+			t.Errorf("largest component %v at step %d out of [1,10]", m, i)
+		}
 	}
 }
 

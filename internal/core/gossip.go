@@ -8,6 +8,7 @@ import (
 	"mobilenet/internal/obs"
 	"mobilenet/internal/prof"
 	"mobilenet/internal/rng"
+	"mobilenet/internal/step"
 	"mobilenet/internal/visibility"
 )
 
@@ -16,7 +17,7 @@ import (
 // problem assigns one rumor to every agent, |M| = k), and within each
 // component of G_t(r) agents exchange everything they know. The gossip time
 // T_G is the first time every agent knows every rumor (paper, Definition 1
-// and Corollary 2).
+// and Corollary 2). Gossip implements step.Engine.
 type Gossip struct {
 	cfg   Config
 	pop   *agent.Population
@@ -27,8 +28,6 @@ type Gossip struct {
 	haveAll int           // number of agents knowing all rumors
 	scratch *bitset.Set   // component-union accumulator
 	members [][]int32     // component membership scratch, indexed by label
-
-	obsr *obs.Recorder
 }
 
 // NewGossip starts the all-to-all problem (one rumor per agent) and
@@ -65,7 +64,6 @@ func NewPartialGossip(cfg Config, rumors int) (*Gossip, error) {
 		total:   rumors,
 		rumors:  make([]*bitset.Set, cfg.K),
 		scratch: bitset.New(rumors),
-		obsr:    cfg.Observer,
 	}
 	for i := range g.rumors {
 		g.rumors[i] = bitset.New(rumors)
@@ -134,32 +132,28 @@ func (g *Gossip) exchange() {
 		}
 	}
 	g.cfg.Profile.Lap(prof.Spread)
-	if t := g.pop.Time(); g.obsr != nil && g.obsr.Wants(t) {
-		largest := 0
-		if g.obsr.NeedsComponents() {
-			for _, m := range g.members {
-				if len(m) > largest {
-					largest = len(m)
-				}
-			}
-		}
-		g.obsr.Record(t, obs.Sample{
-			Informed:   g.haveAll,
-			Components: count,
-			Largest:    largest,
-		})
-	}
-	g.cfg.Profile.Lap(prof.Observe)
 }
 
 // Step advances the system one time unit.
 func (g *Gossip) Step() {
-	p := g.cfg.Profile
-	p.Mark()
 	g.pop.Step()
-	p.Lap(prof.Move)
+	g.cfg.Profile.Lap(prof.Move)
 	g.exchange()
-	p.StepDone()
+}
+
+// Sample returns the current step's observables: the agents knowing every
+// rumor as "informed" and the component census of the last exchange (the
+// largest component only when rec requests it).
+func (g *Gossip) Sample(rec *obs.Recorder) obs.Sample {
+	s := obs.Sample{Informed: g.haveAll, Components: len(g.members)}
+	if rec.NeedsComponents() {
+		for _, m := range g.members {
+			if len(m) > s.Largest {
+				s.Largest = len(m)
+			}
+		}
+	}
+	return s
 }
 
 // Done reports whether every agent knows every rumor.
@@ -185,13 +179,16 @@ type GossipResult struct {
 	Completed bool
 }
 
-// Run advances until gossip completes or the step cap is reached.
-func (g *Gossip) Run() GossipResult {
-	stepCap := g.cfg.maxSteps()
-	for !g.Done() && g.pop.Time() < stepCap && !g.cfg.Cancel.Stop() {
-		g.Step()
-	}
+// Result reports the run as it stands.
+func (g *Gossip) Result() GossipResult {
 	return GossipResult{Steps: g.pop.Time(), Completed: g.Done()}
+}
+
+// Run drives the gossip to completion (or the step cap) through the step
+// driver.
+func (g *Gossip) Run() GossipResult {
+	step.Run(g, step.Hooks{Cap: g.cfg.StepCap(), Profile: g.cfg.Profile})
+	return g.Result()
 }
 
 // RunGossip is the one-shot convenience wrapper for the classical

@@ -5,42 +5,51 @@ import (
 
 	"mobilenet/internal/grid"
 	"mobilenet/internal/obs"
+	"mobilenet/internal/step"
 )
 
-// observedBroadcast builds a broadcast with every broadcast observable
-// enabled and the recorder capped, for the allocation pins below.
-func observedBroadcast(tb testing.TB, k int) (*Broadcast, *obs.Recorder) {
+// observedBroadcast builds a step driver over a broadcast with every
+// broadcast observable enabled and the recorder capped, for the allocation
+// pins below.
+func observedBroadcast(tb testing.TB, k int) (*step.Driver, *obs.Recorder) {
 	tb.Helper()
 	rec := obs.NewRecorder(obs.Spec{
 		Observables: []string{obs.Informed, obs.Components, obs.Largest, obs.Coverage},
 		Every:       1,
 		MaxPoints:   512,
 	})
-	b, err := NewBroadcast(Config{
+	cfg := Config{
 		Grid:        grid.MustNew(64),
 		K:           k,
 		Radius:      1,
 		Seed:        7,
 		Source:      0,
 		Parallelism: 1,
-		Observer:    rec,
-	})
+	}
+	b, err := NewBroadcast(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return b, rec
+	return step.New(b, step.Hooks{Cap: cfg.StepCap(), Observe: rec}), rec
 }
 
 // TestObservedStepNoAllocs pins the tentpole's acceptance criterion: with
-// observation enabled (all four broadcast observables, cadence 1), the
-// steady-state step loop performs zero allocations per step.
+// observation enabled (all four broadcast observables, cadence 1), a full
+// steady-state driver step — engine step, sample and record — performs
+// zero allocations.
 func TestObservedStepNoAllocs(t *testing.T) {
-	b, _ := observedBroadcast(t, 64)
+	d, _ := observedBroadcast(t, 64)
 	// Warm up: grow the labeller and scratch slabs to steady state.
 	for i := 0; i < 64; i++ {
-		b.Step()
+		if !d.Next() {
+			t.Fatal("broadcast finished during warm-up")
+		}
 	}
-	allocs := testing.AllocsPerRun(256, func() { b.Step() })
+	stepped := true
+	allocs := testing.AllocsPerRun(256, func() { stepped = d.Next() && stepped })
+	if !stepped {
+		t.Fatal("broadcast finished inside the measured window, so not every run was a step")
+	}
 	if allocs != 0 {
 		t.Errorf("observed broadcast step allocates %.2f per step, want 0", allocs)
 	}
@@ -51,9 +60,10 @@ func TestObservedStepNoAllocs(t *testing.T) {
 // fraction stays within [0, 1].
 func TestObservedBroadcastSeries(t *testing.T) {
 	t.Parallel()
-	b, rec := observedBroadcast(t, 32)
-	res := b.Run()
-	if !res.Completed {
+	d, rec := observedBroadcast(t, 32)
+	for d.Next() {
+	}
+	if !d.Result().Completed {
 		t.Fatal("broadcast did not complete")
 	}
 	s := rec.Series()
@@ -90,50 +100,69 @@ func TestCoverageObservableKeepsRunSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed := cfg
-	observed.Observer = obs.NewRecorder(obs.Spec{Observables: []string{obs.Coverage}, Every: 1})
-	got, err := RunBroadcast(observed)
+	b, err := NewBroadcast(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := obs.NewRecorder(obs.Spec{Observables: []string{obs.Coverage}, Every: 1})
+	step.Run(b, step.Hooks{Cap: cfg.StepCap(), Observe: rec})
+	got := b.Result()
 	if got.Steps != plain.Steps || got.Completed != plain.Completed {
 		t.Errorf("observed run diverged: steps %d vs %d", got.Steps, plain.Steps)
 	}
 	if got.CoverageSteps != -1 {
 		t.Errorf("coverage observable leaked CoverageSteps = %d, want -1", got.CoverageSteps)
 	}
+	if cov := rec.Series().Values[obs.Coverage]; len(cov) == 0 || cov[0] <= 0 {
+		t.Errorf("coverage series %v does not start from the source's node", cov)
+	}
 }
 
-// BenchmarkObservedBroadcastStep measures the per-step cost of the fully
-// observed step loop; run with -benchmem to see the zero-allocation
-// contract in the report.
-func BenchmarkObservedBroadcastStep(b *testing.B) {
-	br, _ := observedBroadcast(b, 256)
+// warmDriver builds a driver and advances it past the slab-growing first
+// steps.
+func warmDriver(build func() *step.Driver) *step.Driver {
+	d := build()
 	for i := 0; i < 64; i++ {
-		br.Step()
+		d.Next()
 	}
+	return d
+}
+
+// benchDriverSteps times b.N full driver steps. A run that finishes is
+// rebuilt and warmed with the timer stopped, so every timed iteration is
+// one step and allocations outside steady state stay out of the report.
+func benchDriverSteps(b *testing.B, build func() *step.Driver) {
+	d := warmDriver(build)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		br.Step()
+		for !d.Next() {
+			b.StopTimer()
+			d = warmDriver(build)
+			b.StartTimer()
+		}
 	}
+}
+
+// BenchmarkObservedBroadcastStep measures the per-step cost of the fully
+// observed driver step; run with -benchmem to see the zero-allocation
+// contract in the report.
+func BenchmarkObservedBroadcastStep(b *testing.B) {
+	benchDriverSteps(b, func() *step.Driver {
+		d, _ := observedBroadcast(b, 256)
+		return d
+	})
 }
 
 // BenchmarkBroadcastStepBaseline is the unobserved twin of the benchmark
 // above, so the observation overhead is a one-line comparison.
 func BenchmarkBroadcastStepBaseline(b *testing.B) {
-	br, err := NewBroadcast(Config{
-		Grid: grid.MustNew(64), K: 256, Radius: 1, Seed: 7, Source: 0, Parallelism: 1,
+	benchDriverSteps(b, func() *step.Driver {
+		cfg := Config{Grid: grid.MustNew(64), K: 256, Radius: 1, Seed: 7, Source: 0, Parallelism: 1}
+		br, err := NewBroadcast(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return step.New(br, step.Hooks{Cap: cfg.StepCap()})
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		br.Step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		br.Step()
-	}
 }

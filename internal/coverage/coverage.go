@@ -9,12 +9,12 @@ import (
 	"fmt"
 
 	"mobilenet/internal/bitset"
-	"mobilenet/internal/cancel"
 	"mobilenet/internal/grid"
 	"mobilenet/internal/mobility"
 	"mobilenet/internal/obs"
 	"mobilenet/internal/prof"
 	"mobilenet/internal/rng"
+	"mobilenet/internal/step"
 	"mobilenet/internal/theory"
 )
 
@@ -34,18 +34,10 @@ type Config struct {
 	// Mobility selects the walkers' motion model; nil selects the paper's
 	// lazy walk the §4 cover-time bound is proved for.
 	Mobility mobility.Model
-	// Observer, when non-nil, receives a per-step sample (including t=0)
-	// at the recorder's cadence: the covered-node count as "informed" and
-	// the covered fraction as "coverage".
-	Observer *obs.Recorder
 	// Profile, when non-nil, accumulates per-phase step timings. Coverage
 	// runs exercise only the move, spread (visit marking) and observe
 	// phases; a nil profile costs a branch per phase.
 	Profile *prof.StepProfile
-	// Cancel, when non-nil, halts the run loop at a step boundary once its
-	// context is cancelled (see core.Config.Cancel); nil costs a
-	// constant-false branch.
-	Cancel *cancel.Check
 }
 
 func (c *Config) validate() error {
@@ -61,7 +53,9 @@ func (c *Config) validate() error {
 	return nil
 }
 
-func (c *Config) maxSteps() int {
+// StepCap resolves the step cap the run is driven under: MaxSteps when
+// set, else the paper's cover-time bound with 64x headroom.
+func (c *Config) StepCap() int {
 	if c.MaxSteps > 0 {
 		return c.MaxSteps
 	}
@@ -86,83 +80,109 @@ type Result struct {
 	Curve []int
 }
 
-// Run measures the cover time of k independent lazy random walks started at
-// uniformly random nodes.
-func Run(cfg Config) (Result, error) {
+// System is a running cover-time measurement: k independent walks marking
+// the nodes they visit. It implements step.Engine.
+type System struct {
+	cfg     Config
+	g       *grid.Grid
+	mob     mobility.State
+	ms      mobility.MovedStepper // nil when the model does not report moves
+	pos     []grid.Point
+	moved   []int32 // per-step moved-walker scratch, reused
+	visited *bitset.Set
+	t       int
+	curve   []int
+}
+
+// New places the walkers (per the configured mobility model, by default
+// uniformly at random) and marks their starting nodes visited.
+func New(cfg Config) (*System, error) {
 	if err := cfg.validate(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	g := cfg.Grid
-	src := rng.New(cfg.Seed)
 	k := cfg.Walkers
 	model := cfg.Mobility
 	if model == nil {
 		model = mobility.Default()
 	}
-	mob, err := model.Bind(g, k, src)
+	mob, err := model.Bind(g, k, rng.New(cfg.Seed))
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	pos := make([]grid.Point, k)
-	mob.Place(pos)
-	visited := bitset.New(g.N())
-	for i := range pos {
-		visited.Add(int(g.ID(pos[i])))
-	}
+	s := &System{cfg: cfg, g: g, mob: mob, pos: make([]grid.Point, k), visited: bitset.New(g.N())}
 	// Models that report per-step moves let the visit marking touch only
 	// agents that actually moved: an unmoved walker's node was marked the
 	// step it arrived. The lazy walk holds ~1/5 of the walkers still each
 	// step; trajectories are bit-identical either way.
-	ms, incremental := mob.(mobility.MovedStepper)
-	var moved []int32
-	if incremental {
-		moved = make([]int32, 0, k)
+	if ms, ok := mob.(mobility.MovedStepper); ok {
+		s.ms = ms
+		s.moved = make([]int32, 0, k)
 	}
-	res := Result{}
-	observe := func(t int) {
-		if cfg.Observer != nil && cfg.Observer.Wants(t) {
-			cfg.Observer.Record(t, obs.Sample{
-				Informed: visited.Len(),
-				Covered:  visited.Len(),
-				Nodes:    g.N(),
-			})
-		}
-		cfg.Profile.Lap(prof.Observe)
-	}
-	if cfg.RecordCurve {
-		res.Curve = append(res.Curve, visited.Len())
-	}
+	mob.Place(s.pos)
 	cfg.Profile.Mark()
-	observe(0)
-	stepCap := cfg.maxSteps()
-	t := 0
-	for visited.Len() < g.N() && t < stepCap && !cfg.Cancel.Stop() {
-		cfg.Profile.Mark()
-		if incremental {
-			moved = ms.StepMoved(pos, moved[:0])
-			cfg.Profile.Lap(prof.Move)
-			for _, i := range moved {
-				visited.Add(int(g.ID(pos[i])))
-			}
-		} else {
-			mob.Step(pos)
-			cfg.Profile.Lap(prof.Move)
-			for i := range pos {
-				visited.Add(int(g.ID(pos[i])))
-			}
-		}
-		t++
-		if cfg.RecordCurve {
-			res.Curve = append(res.Curve, visited.Len())
-		}
-		cfg.Profile.Lap(prof.Spread)
-		observe(t)
-		cfg.Profile.StepDone()
+	s.visit()
+	return s, nil
+}
+
+// Step advances every walker one tick and marks the nodes reached.
+func (s *System) Step() {
+	if s.ms != nil {
+		s.moved = s.ms.StepMoved(s.pos, s.moved[:0])
+	} else {
+		s.mob.Step(s.pos)
 	}
-	res.Steps = t
-	res.Covered = visited.Len()
-	res.Completed = visited.Len() == g.N()
-	return res, nil
+	s.t++
+	s.cfg.Profile.Lap(prof.Move)
+	s.visit()
+}
+
+// visit marks the walkers' nodes visited — after the first step only the
+// walkers that moved, when the model reports moves — and records the
+// covered count on the curve.
+func (s *System) visit() {
+	if s.ms != nil && s.t > 0 {
+		for _, i := range s.moved {
+			s.visited.Add(int(s.g.ID(s.pos[i])))
+		}
+	} else {
+		for i := range s.pos {
+			s.visited.Add(int(s.g.ID(s.pos[i])))
+		}
+	}
+	if s.cfg.RecordCurve {
+		s.curve = append(s.curve, s.visited.Len())
+	}
+	s.cfg.Profile.Lap(prof.Spread)
+}
+
+// Done reports whether every node has been visited.
+func (s *System) Done() bool { return s.visited.Len() == s.g.N() }
+
+// Time returns the simulation time.
+func (s *System) Time() int { return s.t }
+
+// Sample returns the current step's observables: the covered-node count
+// as "informed" and the covered fraction as "coverage".
+func (s *System) Sample(*obs.Recorder) obs.Sample {
+	return obs.Sample{Informed: s.visited.Len(), Covered: s.visited.Len(), Nodes: s.g.N()}
+}
+
+// Result reports the run as it stands.
+func (s *System) Result() Result {
+	return Result{Steps: s.t, Completed: s.Done(), Covered: s.visited.Len(), Curve: s.curve}
+}
+
+// Run measures the cover time of k independent lazy random walks started at
+// uniformly random nodes, driving the walks to full coverage or the step
+// cap.
+func Run(cfg Config) (Result, error) {
+	s, err := New(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	step.Run(s, step.Hooks{Cap: cfg.StepCap(), Profile: cfg.Profile})
+	return s.Result(), nil
 }
 
 // FractionTime returns the first step at which the walks have covered at

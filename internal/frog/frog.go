@@ -12,12 +12,12 @@ import (
 
 	"mobilenet/internal/agent"
 	"mobilenet/internal/bitset"
-	"mobilenet/internal/cancel"
 	"mobilenet/internal/grid"
 	"mobilenet/internal/mobility"
 	"mobilenet/internal/obs"
 	"mobilenet/internal/prof"
 	"mobilenet/internal/rng"
+	"mobilenet/internal/step"
 	"mobilenet/internal/theory"
 	"mobilenet/internal/visibility"
 )
@@ -44,19 +44,9 @@ type Config struct {
 	// Parallelism sets the component labeller's worker count (0 = automatic,
 	// 1 = sequential); results are identical at every setting.
 	Parallelism int
-	// Observer, when non-nil, receives a per-step observation sample after
-	// every wake-up pass (including the time-0 one) at the recorder's
-	// cadence: the active count as "informed", plus the component
-	// observables when requested (which force labelling even after the
-	// last sleeper wakes).
-	Observer *obs.Recorder
 	// Profile, when non-nil, accumulates per-phase step timings (see
 	// core.Config.Profile); a nil profile costs only a branch per phase.
 	Profile *prof.StepProfile
-	// Cancel, when non-nil, halts the run loop at a step boundary once its
-	// context is cancelled (see core.Config.Cancel); nil costs a
-	// constant-false branch.
-	Cancel *cancel.Check
 }
 
 func (c *Config) validate() error {
@@ -78,7 +68,9 @@ func (c *Config) validate() error {
 	return nil
 }
 
-func (c *Config) maxSteps() int {
+// StepCap resolves the step cap the run is driven under: MaxSteps when
+// set, else the same generous default the dynamic model uses.
+func (c *Config) StepCap() int {
 	if c.MaxSteps > 0 {
 		return c.MaxSteps
 	}
@@ -102,7 +94,7 @@ func newLabeller(cfg *Config) *visibility.Incremental {
 	return l
 }
 
-// System is a running Frog-model simulation.
+// System is a running Frog-model simulation; it implements step.Engine.
 type System struct {
 	cfg    Config
 	pop    *agent.Population
@@ -110,10 +102,7 @@ type System struct {
 	active *bitset.Set // active (= informed) agents
 	newly  []int32     // per-step newly-woken scratch, reused
 
-	obsr        *obs.Recorder
 	sizeScratch []int32 // component-size buffer for the largest observable
-	lastComps   int     // component count at the last observed step
-	lastLargest int     // largest component size at the last observed step
 }
 
 // New places the population and wakes the source's component: sleepers
@@ -133,10 +122,6 @@ func New(cfg Config) (*System, error) {
 		lab:    newLabeller(&cfg),
 		active: bitset.New(cfg.K),
 		newly:  make([]int32, 0, cfg.K),
-		obsr:   cfg.Observer,
-	}
-	if s.obsr != nil && s.obsr.NeedsComponents() {
-		s.sizeScratch = make([]int32, 0, cfg.K)
 	}
 	source := cfg.Source
 	if source == -1 {
@@ -151,48 +136,19 @@ func New(cfg Config) (*System, error) {
 // wake activates every sleeping agent in the same visibility component as
 // an active agent. Chained wake-ups (sleeper A wakes sleeper B through
 // proximity) are intentional: the rumor floods the whole component, per the
-// paper's radio-faster-than-motion assumption.
+// paper's radio-faster-than-motion assumption. The wake-ups flood the
+// active bitset straight through the union-find forest, no labels
+// materialised; once everyone is active there is nothing left to wake.
 func (s *System) wake() {
-	observeComps := s.obsr != nil && s.obsr.NeedsComponents() && s.obsr.Wants(s.pop.Time())
-	if s.active.Len() == s.pop.K() && !observeComps {
-		s.observe()
-		return
-	}
-	s.newly = s.newly[:0]
-	if observeComps {
-		labels, count := s.lab.Components(s.pop.Positions(), s.cfg.Radius)
-		s.lastComps = count
-		s.lastLargest, s.sizeScratch = visibility.MaxSizeScratch(labels, count, s.sizeScratch)
-		if s.active.Len() < s.pop.K() {
-			s.newly = s.lab.FloodWithLabels(labels, count, s.active, s.newly)
-		}
-	} else {
-		// The common step: wake-ups flood the active bitset straight
-		// through the union-find forest, no labels materialised.
-		s.newly = s.lab.Flood(s.pop.Positions(), s.cfg.Radius, s.active, s.newly)
+	if s.active.Len() < s.pop.K() {
+		s.newly = s.lab.Flood(s.pop.Positions(), s.cfg.Radius, s.active, s.newly[:0])
 	}
 	s.cfg.Profile.Lap(prof.Spread)
-	s.observe()
-}
-
-// observe records the current step's sample when the observer's cadence
-// asks for it.
-func (s *System) observe() {
-	if t := s.pop.Time(); s.obsr != nil && s.obsr.Wants(t) {
-		s.obsr.Record(t, obs.Sample{
-			Informed:   s.active.Len(),
-			Components: s.lastComps,
-			Largest:    s.lastLargest,
-		})
-	}
-	s.cfg.Profile.Lap(prof.Observe)
 }
 
 // Step advances one time unit: active agents walk, sleepers stay, then
 // wake-ups propagate.
 func (s *System) Step() {
-	p := s.cfg.Profile
-	p.Mark()
 	// Ascending agent-index order is part of the seed contract: StepAgent
 	// draws from the shared randomness stream, so the iteration order must
 	// match the pre-bitset []bool loop bit for bit.
@@ -203,9 +159,24 @@ func (s *System) Step() {
 		}
 	}
 	s.pop.Tick()
-	p.Lap(prof.Move)
+	s.cfg.Profile.Lap(prof.Move)
 	s.wake()
-	p.StepDone()
+}
+
+// Sample returns the current step's observables: the active count as
+// "informed", plus the component census when rec requests it (labelled on
+// demand, also after the last sleeper woke).
+func (s *System) Sample(rec *obs.Recorder) obs.Sample {
+	smp := obs.Sample{Informed: s.active.Len()}
+	if rec.NeedsComponents() {
+		if s.sizeScratch == nil {
+			s.sizeScratch = make([]int32, 0, s.pop.K())
+		}
+		labels, count := s.lab.Components(s.pop.Positions(), s.cfg.Radius)
+		smp.Components = count
+		smp.Largest, s.sizeScratch = visibility.MaxSizeScratch(labels, count, s.sizeScratch)
+	}
+	return smp
 }
 
 // Done reports whether every agent is active (equivalently, informed).
@@ -228,13 +199,15 @@ type Result struct {
 	Completed bool
 }
 
-// Run advances until all agents are active or the cap is reached.
-func (s *System) Run() Result {
-	stepCap := s.cfg.maxSteps()
-	for !s.Done() && s.pop.Time() < stepCap && !s.cfg.Cancel.Stop() {
-		s.Step()
-	}
+// Result reports the run as it stands.
+func (s *System) Result() Result {
 	return Result{Steps: s.pop.Time(), Completed: s.Done()}
+}
+
+// Run drives the system until all agents are active or the cap is reached.
+func (s *System) Run() Result {
+	step.Run(s, step.Hooks{Cap: s.cfg.StepCap(), Profile: s.cfg.Profile})
+	return s.Result()
 }
 
 // RunFrog is the one-shot convenience wrapper.

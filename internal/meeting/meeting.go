@@ -15,11 +15,11 @@ package meeting
 import (
 	"fmt"
 
-	"mobilenet/internal/cancel"
 	"mobilenet/internal/grid"
 	"mobilenet/internal/obs"
 	"mobilenet/internal/prof"
 	"mobilenet/internal/rng"
+	"mobilenet/internal/step"
 	"mobilenet/internal/walk"
 )
 
@@ -78,104 +78,89 @@ func arena(d int) (*grid.Grid, grid.Point, grid.Point) {
 	return g, a, b
 }
 
-// TrialRun executes a single Lemma 3 meeting trial: two synchronized walks
-// start at separation d and run for up to horizon steps (d^2 when horizon
-// is 0). It returns the meeting time and true when the walks met at a node
-// of the lens D within the horizon, else (horizon, false). One trial is the
-// unit of work the scenario layer's "meeting" engine schedules per
-// replicate, so a whole probability estimate is just a multi-rep spec.
-func TrialRun(d int, seed uint64, horizon int) (steps int, met bool, err error) {
-	return TrialRunObserved(d, seed, horizon, nil)
+// Pair is one Lemma 3 meeting trial as a state machine: two synchronized
+// walks start at separation d on the ArenaSide(d) arena, and the trial is
+// done once they share a node of the lens D. Drive it under a step cap of
+// Horizon() steps; when the cap ends the run first, the walks never met.
+// One trial is the unit of work the scenario layer's "meeting" engine
+// schedules per replicate, so a whole probability estimate is just a
+// multi-rep spec. Pair implements step.Engine and step.Terminal: the
+// meeting step is always recorded, cadence or not, because a series whose
+// last sample still reads 0 would misreport the trial.
+type Pair struct {
+	g       *grid.Grid
+	a0, b0  grid.Point
+	d       int
+	horizon int
+	src     *rng.Source
+	prof    *prof.StepProfile
+
+	// The two walkers advance through the batched stepper so the step
+	// reports which of them actually moved: a step where neither moved
+	// cannot change the meeting predicate (had they met, the trial would
+	// already be done), so the lens check is skipped. The stream is
+	// bit-identical to the scalar two-call form (see walk.StepAllMoved).
+	pair  [2]grid.Point
+	ubuf  [2]uint64
+	moved [2]int32
+
+	t   int
+	met bool
 }
 
-// TrialRunObserved is TrialRun with a per-step observer: when rec is
-// non-nil, the 0/1 "has met in the lens by step t" indicator is recorded at
-// the recorder's cadence (t=0 included), plus once at the meeting step
-// itself so the series always ends with the realised outcome. A nil rec
-// reproduces TrialRun exactly — there is one implementation of the trial
-// physics.
-func TrialRunObserved(d int, seed uint64, horizon int, rec *obs.Recorder) (steps int, met bool, err error) {
-	return TrialRunProfiled(d, seed, horizon, rec, nil)
-}
-
-// TrialRunProfiled is TrialRunObserved with a step-phase profiler: when p
-// is non-nil the two walk advances are charged to the move phase, the
-// lens/meeting check to spread, and the recorder work to observe. A nil p
-// costs one branch per phase, so TrialRun and TrialRunObserved delegate
-// here — there is still exactly one implementation of the trial physics.
-func TrialRunProfiled(d int, seed uint64, horizon int, rec *obs.Recorder, p *prof.StepProfile) (steps int, met bool, err error) {
-	return TrialRunCancellable(d, seed, horizon, rec, p, nil)
-}
-
-// TrialRunCancellable is TrialRunProfiled with an amortized cancellation
-// check: when stop is non-nil and reports stopped, the trial halts at the
-// next step boundary and returns the step it stopped at with met false —
-// the caller distinguishes "aborted" from "never met" via stop.Stopped().
-// A nil stop costs a constant-false branch, so the profiled variants
-// delegate here — there is still exactly one implementation of the trial
-// physics.
-func TrialRunCancellable(d int, seed uint64, horizon int, rec *obs.Recorder, p *prof.StepProfile, stop *cancel.Check) (steps int, met bool, err error) {
+// NewPair starts a trial at separation d under the given seed; horizon is
+// the step bound (d^2 when 0). p, when non-nil, is charged the move phase
+// (the walk advances) and the spread phase (the lens check).
+func NewPair(d int, seed uint64, horizon int, p *prof.StepProfile) (*Pair, error) {
 	if d < 1 {
-		return 0, false, fmt.Errorf("meeting: distance must be >= 1, got %d", d)
+		return nil, fmt.Errorf("meeting: distance must be >= 1, got %d", d)
 	}
 	if horizon < 0 {
-		return 0, false, fmt.Errorf("meeting: negative horizon %d", horizon)
+		return nil, fmt.Errorf("meeting: negative horizon %d", horizon)
 	}
 	if horizon == 0 {
 		horizon = d * d
 	}
-	g, a0Start, b0Start := arena(d)
-	a0, b0 := a0Start, b0Start
-	// The two walkers advance through the batched stepper so the step
-	// reports which of them actually moved: a step where neither moved
-	// cannot change the meeting predicate (had they met, the trial would
-	// already have returned), so the lens check is skipped. The stream is
-	// bit-identical to the scalar two-call form (see walk.StepAllMoved).
-	pair := [2]grid.Point{a0Start, b0Start}
-	var ubuf [2]uint64
-	var movedBuf [2]int32
-	src := rng.New(seed)
+	g, a0, b0 := arena(d)
+	m := &Pair{g: g, a0: a0, b0: b0, d: d, horizon: horizon, src: rng.New(seed), prof: p,
+		pair: [2]grid.Point{a0, b0}}
 	p.Mark()
-	if rec != nil && rec.Wants(0) {
-		rec.Record(0, obs.Sample{Met: false})
-	}
-	p.Lap(prof.Observe)
-	for t := 1; t <= horizon; t++ {
-		if stop.Stop() {
-			return t - 1, false, nil
-		}
-		p.Mark()
-		moved := walk.StepAllMoved(g, pair[:], ubuf[:], src, movedBuf[:0])
-		a, b := pair[0], pair[1]
-		p.Lap(prof.Move)
-		if len(moved) > 0 && a == b && inLens(a, a0, b0, d) {
-			p.Lap(prof.Spread)
-			if rec != nil {
-				// The meeting step is always recorded, cadence or not: a
-				// series whose last sample still reads 0 would misreport
-				// the trial.
-				rec.Record(t, obs.Sample{Met: true})
-			}
-			p.Lap(prof.Observe)
-			p.StepDone()
-			return t, true, nil
-		}
-		p.Lap(prof.Spread)
-		if rec != nil && rec.Wants(t) {
-			rec.Record(t, obs.Sample{Met: false})
-		}
-		p.Lap(prof.Observe)
-		p.StepDone()
-	}
-	return horizon, false, nil
+	return m, nil
 }
+
+// Horizon returns the trial's step bound: the cap to drive it under.
+func (m *Pair) Horizon() int { return m.horizon }
+
+// Step advances both walks one tick and checks for a lens meeting.
+func (m *Pair) Step() {
+	moved := walk.StepAllMoved(m.g, m.pair[:], m.ubuf[:], m.src, m.moved[:0])
+	m.t++
+	m.prof.Lap(prof.Move)
+	a, b := m.pair[0], m.pair[1]
+	m.met = len(moved) > 0 && a == b && inLens(a, m.a0, m.b0, m.d)
+	m.prof.Lap(prof.Spread)
+}
+
+// Done reports whether the walks have met in the lens.
+func (m *Pair) Done() bool { return m.met }
+
+// Time returns the number of steps taken.
+func (m *Pair) Time() int { return m.t }
+
+// Sample returns the 0/1 "has met in the lens by this step" indicator.
+func (m *Pair) Sample(*obs.Recorder) obs.Sample { return obs.Sample{Met: m.met} }
+
+// SampleEnd reports that the meeting step is recorded off the cadence too.
+func (m *Pair) SampleEnd() bool { return true }
+
+var _ step.Terminal = (*Pair)(nil)
 
 // MeetingProbability estimates P(∃ t <= T: a_t = b_t ∈ D) of Lemma 3 for
 // two walks with initial separation d and T = d^2 (or the configured
 // horizon). It returns the fraction of trials in which the walks met at a
-// node of the lens D within the horizon. Each trial is one TrialRun —
-// the same unit the scenario layer's "meeting" engine schedules — under
-// a seed drawn from the trial's master stream, so there is exactly one
+// node of the lens D within the horizon. Each trial is one Pair — the
+// same unit the scenario layer's "meeting" engine schedules — under a seed
+// drawn from the trial's master stream, so there is exactly one
 // implementation of the trial physics.
 func MeetingProbability(tr Trial) (float64, error) {
 	if err := tr.validate(); err != nil {
@@ -184,11 +169,11 @@ func MeetingProbability(tr Trial) (float64, error) {
 	master := rng.New(tr.Seed)
 	hits := 0
 	for i := 0; i < tr.Trials; i++ {
-		_, met, err := TrialRun(tr.Distance, master.Uint64(), tr.horizon())
+		m, err := NewPair(tr.Distance, master.Uint64(), tr.horizon(), nil)
 		if err != nil {
 			return 0, err
 		}
-		if met {
+		if step.Run(m, step.Hooks{Cap: m.Horizon()}).Completed {
 			hits++
 		}
 	}

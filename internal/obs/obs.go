@@ -2,16 +2,16 @@
 // terminal scalars (steps-to-completion, final coverage) into time-resolved
 // series — the informed-count trajectories and component-evolution curves
 // behind the paper's figures. A Spec names the observables and the sampling
-// cadence; a Recorder collects samples inside an engine's step loop with
-// zero per-step allocation (slabs are preallocated and reused across
-// replicates); Aggregate folds the per-replicate series into per-step
+// cadence; a Recorder collects the samples the step driver (internal/step)
+// takes after each engine step with zero per-step allocation (slabs are
+// preallocated and reused across replicates); Aggregate folds the per-replicate series into per-step
 // mean/CI summaries; and WriteNDJSON / Table render the aggregate in the
 // streaming and tabular forms the CLI and the simulation service emit.
 //
-// The package is a leaf: engines depend on it (they call the Recorder from
-// their step loops) and the scenario layer depends on it (the `observe`
-// block of a spec is an obs.Spec), but obs itself knows nothing about
-// either.
+// The package is a leaf: engines depend on it (they fill Samples), the step
+// driver depends on it (it records them at the Recorder's cadence) and the
+// scenario layer depends on it (the `observe` block of a spec is an
+// obs.Spec), but obs itself knows nothing about any of them.
 package obs
 
 import (
@@ -255,9 +255,9 @@ func (r *Recorder) NeedsComponents() bool { return r.needComponents }
 // engines know to track the informed/visited area.
 func (r *Recorder) NeedsCoverage() bool { return r.needCoverage }
 
-// Wants reports whether step t falls on the current sampling cadence.
-// Engines gate their Record calls — and any observable-only state
-// computation — behind it.
+// Wants reports whether step t falls on the current sampling cadence. The
+// step driver gates its Record calls — and so the engines' observable-only
+// work in Sample — behind it.
 func (r *Recorder) Wants(t int) bool { return t%r.every == 0 }
 
 // Record appends one sample. When the recorder is at its MaxPoints cap it

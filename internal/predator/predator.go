@@ -10,12 +10,12 @@ package predator
 import (
 	"fmt"
 
-	"mobilenet/internal/cancel"
 	"mobilenet/internal/grid"
 	"mobilenet/internal/mobility"
 	"mobilenet/internal/obs"
 	"mobilenet/internal/prof"
 	"mobilenet/internal/rng"
+	"mobilenet/internal/step"
 	"mobilenet/internal/theory"
 )
 
@@ -37,19 +37,10 @@ type Config struct {
 	// Mobility selects the motion model both predators and preys follow
 	// (each species gets its own model state); nil selects the lazy walk.
 	Mobility mobility.Model
-	// Observer, when non-nil, receives a per-step sample (including the
-	// t=0 capture pass) at the recorder's cadence: the caught-prey count
-	// as "informed" — the predator system's dissemination-progress
-	// analogue.
-	Observer *obs.Recorder
 	// Profile, when non-nil, accumulates per-phase step timings: the
 	// spatial-hash rebuild is the index phase and the prey scan the spread
 	// phase. A nil profile costs a branch per phase.
 	Profile *prof.StepProfile
-	// Cancel, when non-nil, halts the run loop at a step boundary once its
-	// context is cancelled (see core.Config.Cancel); nil costs a
-	// constant-false branch.
-	Cancel *cancel.Check
 }
 
 func (c *Config) validate() error {
@@ -71,7 +62,9 @@ func (c *Config) validate() error {
 	return nil
 }
 
-func (c *Config) maxSteps() int {
+// StepCap resolves the step cap the run is driven under: MaxSteps when
+// set, else the paper's extinction bound with generous headroom.
+func (c *Config) StepCap() int {
 	if c.MaxSteps > 0 {
 		return c.MaxSteps
 	}
@@ -82,7 +75,7 @@ func (c *Config) maxSteps() int {
 	return v
 }
 
-// System is a running predator-prey simulation.
+// System is a running predator-prey simulation; it implements step.Engine.
 type System struct {
 	cfg       Config
 	g         *grid.Grid
@@ -154,17 +147,13 @@ func New(cfg Config) (*System, error) {
 	}
 	cfg.Profile.Mark()
 	s.capture(nil, false)
-	s.observe()
 	return s, nil
 }
 
-// observe records the current step's sample when the observer's cadence
-// asks for it.
-func (s *System) observe() {
-	if o := s.cfg.Observer; o != nil && o.Wants(s.t) {
-		o.Record(s.t, obs.Sample{Informed: s.cfg.Preys - s.alive})
-	}
-	s.cfg.Profile.Lap(prof.Observe)
+// Sample returns the current step's observables: the caught-prey count as
+// "informed", the predator system's dissemination-progress analogue.
+func (s *System) Sample(*obs.Recorder) obs.Sample {
+	return obs.Sample{Informed: s.cfg.Preys - s.alive}
 }
 
 func bucketKey(bx, by int32) uint64 {
@@ -287,8 +276,6 @@ func (s *System) capture(moved []int32, movedOK bool) {
 // the relative order the pre-mask compacting implementation used, so
 // default-model runs consume randomness identically.
 func (s *System) Step() {
-	p := s.cfg.Profile
-	p.Mark()
 	var moved []int32
 	movedOK := false
 	if ms, ok := s.predMob.(mobility.MovedStepper); ok {
@@ -303,10 +290,8 @@ func (s *System) Step() {
 		}
 	}
 	s.t++
-	p.Lap(prof.Move)
+	s.cfg.Profile.Lap(prof.Move)
 	s.capture(moved, movedOK)
-	s.observe()
-	p.StepDone()
 }
 
 // Done reports whether all preys are extinct.
@@ -328,13 +313,15 @@ type Result struct {
 	Survivors int
 }
 
-// Run advances until extinction or the step cap.
-func (s *System) Run() Result {
-	stepCap := s.cfg.maxSteps()
-	for !s.Done() && s.t < stepCap && !s.cfg.Cancel.Stop() {
-		s.Step()
-	}
+// Result reports the run as it stands.
+func (s *System) Result() Result {
 	return Result{Steps: s.t, Completed: s.Done(), Survivors: s.alive}
+}
+
+// Run drives the system until extinction or the step cap.
+func (s *System) Run() Result {
+	step.Run(s, step.Hooks{Cap: s.cfg.StepCap(), Profile: s.cfg.Profile})
+	return s.Result()
 }
 
 // RunExtinction is the one-shot convenience wrapper.

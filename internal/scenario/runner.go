@@ -19,6 +19,7 @@ import (
 	"mobilenet/internal/obs"
 	"mobilenet/internal/predator"
 	"mobilenet/internal/prof"
+	"mobilenet/internal/step"
 )
 
 // Runner adapts one engine to the uniform Spec contract. RunRep executes a
@@ -48,26 +49,21 @@ func cancelled(ctx context.Context) error {
 	return fmt.Errorf("%w: %v", ErrCancelled, context.Cause(ctx))
 }
 
-// runners is the engine registry. It is populated at init time and
-// read-only afterwards, so Lookup needs no locking.
+// runners is the engine registry: one runner per engine, all sharing the
+// one RunRep body. It is read-only after init, so Lookup needs no locking.
 var runners = map[string]Runner{}
 
-// register adds a runner to the registry; duplicate engines are programmer
-// error.
-func register(r Runner) {
-	if _, dup := runners[r.Engine()]; dup {
-		panic(fmt.Sprintf("scenario: duplicate runner for engine %q", r.Engine()))
-	}
-	runners[r.Engine()] = r
-}
-
 func init() {
-	register(broadcastRunner{})
-	register(gossipRunner{})
-	register(frogRunner{})
-	register(coverageRunner{})
-	register(predatorRunner{})
-	register(meetingRunner{})
+	for _, r := range []runner{
+		{EngineBroadcast, startBroadcast, broadcastRep},
+		{EngineGossip, startGossip, stepsRep},
+		{EngineFrog, startFrog, frogRep},
+		{EngineCoverage, startCoverage, coverageRep},
+		{EnginePredator, startPredator, predatorRep},
+		{EngineMeeting, startMeeting, stepsRep},
+	} {
+		runners[r.engine] = r
+	}
 }
 
 // Lookup resolves an engine name (case-insensitive) to its Runner.
@@ -149,310 +145,191 @@ func repSpanArgs(rep Rep) map[string]string {
 	return args
 }
 
-// buildGrid realises the spec's arena.
-func buildGrid(spec Spec) (*grid.Grid, error) {
+// runner adapts one engine to the Spec contract: start constructs the
+// replicate's engine (performing its time-0 exchange) and resolves its step
+// cap, and rep maps the finished engine onto the replicate outcome.
+// Everything between — observation, profiling, cancellation and the step
+// loop — is the one RunRep body, run through the step driver.
+type runner struct {
+	engine string
+	start  func(spec Spec, rc repContext) (step.Engine, int, error)
+	rep    func(e step.Engine, res step.Result, spec Spec) Rep
+}
+
+// repContext is what every engine's construction shares: the realised
+// arena and motion model, the replicate seed and the step profiler (nil
+// unless the spec profiles).
+type repContext struct {
+	grid    *grid.Grid
+	mob     mobility.Model
+	seed    uint64
+	profile *prof.StepProfile
+}
+
+func (r runner) Engine() string { return r.engine }
+
+// RunRep runs one replicate of the spec under the given seed.
+func (r runner) RunRep(ctx context.Context, spec Spec, seed uint64) (Rep, error) {
 	g, err := grid.FromNodes(spec.Nodes)
 	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
+		return Rep{}, fmt.Errorf("scenario: %w", err)
 	}
-	return g, nil
-}
-
-// buildRecorder builds the replicate's observation recorder from the
-// spec's canonical observe block, or nil when the spec observes nothing.
-// Every replicate gets its own recorder (runners must stay safe for
-// concurrent use), preallocated once so the engine's step loop records
-// without allocating.
-func buildRecorder(spec Spec) *obs.Recorder {
-	if spec.Observe == nil {
-		return nil
+	mob, err := mobility.Parse(spec.Mobility)
+	if err != nil {
+		return Rep{}, fmt.Errorf("scenario: %w", err)
 	}
-	return obs.NewRecorder(*spec.Observe)
-}
-
-// attachSeries copies the recorder's series into the replicate outcome.
-func attachSeries(rep *Rep, rec *obs.Recorder) {
+	rc := repContext{grid: g, mob: mob, seed: seed}
+	if spec.Profile {
+		rc.profile = &prof.StepProfile{}
+	}
+	// Every replicate gets its own recorder (runners must stay safe for
+	// concurrent use), preallocated so the step loop records without
+	// allocating.
+	var rec *obs.Recorder
+	if spec.Observe != nil {
+		rec = obs.NewRecorder(*spec.Observe)
+	}
+	chk := cancel.New(ctx, cancel.DefaultEvery)
+	e, stepCap, err := r.start(spec, rc)
+	if err != nil {
+		return Rep{}, err
+	}
+	res := step.Run(e, step.Hooks{Cap: stepCap, Observe: rec, Profile: rc.profile, Cancel: chk})
+	if res.Cancelled {
+		return Rep{}, cancelled(ctx)
+	}
+	rep := r.rep(e, res, spec)
+	rep.Seed = seed
 	if rec != nil {
 		rep.Series = rec.Series()
 	}
+	rep.Phases = rc.profile.Breakdown()
+	return rep, nil
 }
 
-// buildProfile allocates the replicate's step-phase profiler when the spec
-// asks for profiling, nil otherwise (the engines' zero-overhead default).
-func buildProfile(spec Spec) *prof.StepProfile {
-	if !spec.Profile {
-		return nil
-	}
-	return &prof.StepProfile{}
-}
-
-// attachPhases freezes the profiler into the replicate outcome; a nil
-// profiler leaves Phases nil.
-func attachPhases(rep *Rep, p *prof.StepProfile) {
-	rep.Phases = p.Breakdown()
-}
-
-// buildMobility parses the spec's mobility model; validation has already
-// vetted the string, so errors here are defensive.
-func buildMobility(spec Spec) (mobility.Model, error) {
-	if spec.Mobility == "" {
-		return mobility.Default(), nil
-	}
-	m, err := mobility.Parse(spec.Mobility)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	return m, nil
-}
-
-type broadcastRunner struct{}
-
-func (broadcastRunner) Engine() string { return EngineBroadcast }
-
-func (broadcastRunner) RunRep(ctx context.Context, spec Spec, seed uint64) (Rep, error) {
-	g, err := buildGrid(spec)
-	if err != nil {
-		return Rep{}, err
-	}
-	m, err := buildMobility(spec)
-	if err != nil {
-		return Rep{}, err
-	}
-	rec := buildRecorder(spec)
-	p := buildProfile(spec)
-	chk := cancel.New(ctx, cancel.DefaultEvery)
-	res, err := core.RunBroadcast(core.Config{
-		Grid:              g,
+func startBroadcast(spec Spec, rc repContext) (step.Engine, int, error) {
+	cfg := core.Config{
+		Grid:              rc.grid,
 		K:                 spec.Agents,
 		Radius:            spec.Radius,
-		Seed:              seed,
+		Seed:              rc.seed,
 		Source:            spec.Source,
 		MaxSteps:          spec.MaxSteps,
-		Mobility:          m,
+		Mobility:          rc.mob,
 		Parallelism:       spec.Parallelism,
 		RecordCurve:       spec.HasMetric(MetricCurve),
 		TrackInformedArea: spec.HasMetric(MetricCoverage),
-		Observer:          rec,
-		Profile:           p,
-		Cancel:            chk,
-	})
-	if err != nil {
-		return Rep{}, err
+		Profile:           rc.profile,
 	}
-	if chk.Stopped() {
-		return Rep{}, cancelled(ctx)
-	}
-	rep := Rep{
-		Seed:          seed,
+	b, err := core.NewBroadcast(cfg)
+	return b, cfg.StepCap(), err
+}
+
+func broadcastRep(e step.Engine, _ step.Result, _ Spec) Rep {
+	res := e.(*core.Broadcast).Result()
+	return Rep{
 		Steps:         res.Steps,
 		Completed:     res.Completed,
 		Source:        res.Source,
 		CoverageSteps: res.CoverageSteps,
 		Curve:         res.InformedCurve,
 	}
-	attachSeries(&rep, rec)
-	attachPhases(&rep, p)
-	return rep, nil
 }
 
-type gossipRunner struct{}
-
-func (gossipRunner) Engine() string { return EngineGossip }
-
-func (gossipRunner) RunRep(ctx context.Context, spec Spec, seed uint64) (Rep, error) {
-	g, err := buildGrid(spec)
-	if err != nil {
-		return Rep{}, err
-	}
-	m, err := buildMobility(spec)
-	if err != nil {
-		return Rep{}, err
-	}
-	rec := buildRecorder(spec)
-	p := buildProfile(spec)
-	chk := cancel.New(ctx, cancel.DefaultEvery)
+func startGossip(spec Spec, rc repContext) (step.Engine, int, error) {
 	cfg := core.Config{
-		Grid:        g,
+		Grid:        rc.grid,
 		K:           spec.Agents,
 		Radius:      spec.Radius,
-		Seed:        seed,
+		Seed:        rc.seed,
 		MaxSteps:    spec.MaxSteps,
-		Mobility:    m,
+		Mobility:    rc.mob,
 		Parallelism: spec.Parallelism,
-		Observer:    rec,
-		Profile:     p,
-		Cancel:      chk,
+		Profile:     rc.profile,
 	}
-	var res core.GossipResult
-	if spec.Rumors == 0 {
-		res, err = core.RunGossip(cfg)
-	} else {
-		res, err = core.RunPartialGossip(cfg, spec.Rumors)
-	}
-	if err != nil {
-		return Rep{}, err
-	}
-	if chk.Stopped() {
-		return Rep{}, cancelled(ctx)
-	}
-	rep := Rep{Seed: seed, Steps: res.Steps, Completed: res.Completed, CoverageSteps: -1}
-	attachSeries(&rep, rec)
-	attachPhases(&rep, p)
-	return rep, nil
+	g, err := core.NewPartialGossip(cfg, spec.Rumors)
+	return g, cfg.StepCap(), err
 }
 
-type frogRunner struct{}
+// stepsRep maps engines whose outcome is just the run length and whether
+// the engine finished (gossip; meeting, where finishing means the walks
+// met in the lens).
+func stepsRep(_ step.Engine, res step.Result, _ Spec) Rep {
+	return Rep{Steps: res.Steps, Completed: res.Completed, CoverageSteps: -1}
+}
 
-func (frogRunner) Engine() string { return EngineFrog }
-
-func (frogRunner) RunRep(ctx context.Context, spec Spec, seed uint64) (Rep, error) {
-	g, err := buildGrid(spec)
-	if err != nil {
-		return Rep{}, err
-	}
-	m, err := buildMobility(spec)
-	if err != nil {
-		return Rep{}, err
-	}
-	rec := buildRecorder(spec)
-	p := buildProfile(spec)
-	chk := cancel.New(ctx, cancel.DefaultEvery)
-	res, err := frog.RunFrog(frog.Config{
-		Grid:        g,
+func startFrog(spec Spec, rc repContext) (step.Engine, int, error) {
+	cfg := frog.Config{
+		Grid:        rc.grid,
 		K:           spec.Agents,
 		Radius:      spec.Radius,
-		Seed:        seed,
+		Seed:        rc.seed,
 		Source:      spec.Source,
 		MaxSteps:    spec.MaxSteps,
-		Mobility:    m,
+		Mobility:    rc.mob,
 		Parallelism: spec.Parallelism,
-		Observer:    rec,
-		Profile:     p,
-		Cancel:      chk,
-	})
-	if err != nil {
-		return Rep{}, err
+		Profile:     rc.profile,
 	}
-	if chk.Stopped() {
-		return Rep{}, cancelled(ctx)
-	}
-	rep := Rep{Seed: seed, Steps: res.Steps, Completed: res.Completed, Source: spec.Source, CoverageSteps: -1}
-	attachSeries(&rep, rec)
-	attachPhases(&rep, p)
-	return rep, nil
+	s, err := frog.New(cfg)
+	return s, cfg.StepCap(), err
 }
 
-type coverageRunner struct{}
+// frogRep reports the spec's source (SourceRandom stays -1) rather than the
+// realised one.
+func frogRep(_ step.Engine, res step.Result, spec Spec) Rep {
+	return Rep{Steps: res.Steps, Completed: res.Completed, Source: spec.Source, CoverageSteps: -1}
+}
 
-func (coverageRunner) Engine() string { return EngineCoverage }
-
-func (coverageRunner) RunRep(ctx context.Context, spec Spec, seed uint64) (Rep, error) {
-	g, err := buildGrid(spec)
-	if err != nil {
-		return Rep{}, err
-	}
-	m, err := buildMobility(spec)
-	if err != nil {
-		return Rep{}, err
-	}
-	rec := buildRecorder(spec)
-	p := buildProfile(spec)
-	chk := cancel.New(ctx, cancel.DefaultEvery)
-	res, err := coverage.Run(coverage.Config{
-		Grid:        g,
+func startCoverage(spec Spec, rc repContext) (step.Engine, int, error) {
+	cfg := coverage.Config{
+		Grid:        rc.grid,
 		Walkers:     spec.Agents,
-		Seed:        seed,
+		Seed:        rc.seed,
 		MaxSteps:    spec.MaxSteps,
-		Mobility:    m,
+		Mobility:    rc.mob,
 		RecordCurve: spec.HasMetric(MetricCurve),
-		Observer:    rec,
-		Profile:     p,
-		Cancel:      chk,
-	})
-	if err != nil {
-		return Rep{}, err
+		Profile:     rc.profile,
 	}
-	if chk.Stopped() {
-		return Rep{}, cancelled(ctx)
-	}
-	rep := Rep{
-		Seed:          seed,
-		Steps:         res.Steps,
-		Completed:     res.Completed,
-		Covered:       res.Covered,
-		CoverageSteps: -1,
-		Curve:         res.Curve,
-	}
-	attachSeries(&rep, rec)
-	attachPhases(&rep, p)
-	return rep, nil
+	s, err := coverage.New(cfg)
+	return s, cfg.StepCap(), err
 }
 
-type meetingRunner struct{}
-
-func (meetingRunner) Engine() string { return EngineMeeting }
-
-// RunRep executes one Lemma 3 meeting trial. Steps is the meeting time
-// (the horizon when the walks never met) and Completed reports a meeting
-// inside the lens, so the mean of Completed over replicates estimates the
-// lemma's probability p(d).
-func (meetingRunner) RunRep(ctx context.Context, spec Spec, seed uint64) (Rep, error) {
-	rec := buildRecorder(spec)
-	p := buildProfile(spec)
-	chk := cancel.New(ctx, cancel.DefaultEvery)
-	steps, met, err := meeting.TrialRunCancellable(spec.Radius, seed, spec.MaxSteps, rec, p, chk)
-	if err != nil {
-		return Rep{}, fmt.Errorf("scenario: %w", err)
-	}
-	if chk.Stopped() {
-		return Rep{}, cancelled(ctx)
-	}
-	rep := Rep{Seed: seed, Steps: steps, Completed: met, CoverageSteps: -1}
-	attachSeries(&rep, rec)
-	attachPhases(&rep, p)
-	return rep, nil
+func coverageRep(e step.Engine, _ step.Result, _ Spec) Rep {
+	res := e.(*coverage.System).Result()
+	return Rep{Steps: res.Steps, Completed: res.Completed, Covered: res.Covered, CoverageSteps: -1, Curve: res.Curve}
 }
 
-type predatorRunner struct{}
-
-func (predatorRunner) Engine() string { return EnginePredator }
-
-func (predatorRunner) RunRep(ctx context.Context, spec Spec, seed uint64) (Rep, error) {
-	g, err := buildGrid(spec)
-	if err != nil {
-		return Rep{}, err
-	}
-	m, err := buildMobility(spec)
-	if err != nil {
-		return Rep{}, err
-	}
+func startPredator(spec Spec, rc repContext) (step.Engine, int, error) {
 	preys := spec.Preys
 	if preys == 0 {
 		preys = spec.Agents
 	}
-	rec := buildRecorder(spec)
-	p := buildProfile(spec)
-	chk := cancel.New(ctx, cancel.DefaultEvery)
-	res, err := predator.RunExtinction(predator.Config{
-		Grid:      g,
+	cfg := predator.Config{
+		Grid:      rc.grid,
 		Predators: spec.Agents,
 		Preys:     preys,
 		Radius:    spec.Radius,
-		Seed:      seed,
+		Seed:      rc.seed,
 		MaxSteps:  spec.MaxSteps,
-		Mobility:  m,
-		Observer:  rec,
-		Profile:   p,
-		Cancel:    chk,
-	})
+		Mobility:  rc.mob,
+		Profile:   rc.profile,
+	}
+	s, err := predator.New(cfg)
+	return s, cfg.StepCap(), err
+}
+
+func predatorRep(e step.Engine, res step.Result, _ Spec) Rep {
+	return Rep{Steps: res.Steps, Completed: res.Completed, Survivors: e.(*predator.System).Alive(), CoverageSteps: -1}
+}
+
+// startMeeting starts one Lemma 3 meeting trial at separation d = Radius.
+// Steps is the meeting time (the horizon when the walks never met) and
+// Completed reports a meeting inside the lens, so the mean of Completed
+// over replicates estimates the lemma's probability p(d).
+func startMeeting(spec Spec, rc repContext) (step.Engine, int, error) {
+	m, err := meeting.NewPair(spec.Radius, rc.seed, spec.MaxSteps, rc.profile)
 	if err != nil {
-		return Rep{}, err
+		return nil, 0, fmt.Errorf("scenario: %w", err)
 	}
-	if chk.Stopped() {
-		return Rep{}, cancelled(ctx)
-	}
-	rep := Rep{Seed: seed, Steps: res.Steps, Completed: res.Completed, Survivors: res.Survivors, CoverageSteps: -1}
-	attachSeries(&rep, rec)
-	attachPhases(&rep, p)
-	return rep, nil
+	return m, m.Horizon(), nil
 }

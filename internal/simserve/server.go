@@ -239,10 +239,10 @@ type job struct {
 	done      chan struct{} // closed on done, failed or cancelled
 
 	// ctx is the job's execution context: workers run every replicate
-	// under it, engines poll it each check interval. cancelCause fires it
-	// on deadline expiry (via deadlineTimer), on the first real replicate
-	// failure (siblings of a doomed job stop instead of finishing work
-	// nobody will assemble), and on shutdown past the drain budget.
+	// under it, the step driver polls it each check interval. cancelCause
+	// fires it on deadline expiry (via deadlineTimer), on the first real
+	// replicate failure (siblings of a doomed job stop instead of finishing
+	// work nobody will assemble), and on shutdown past the drain budget.
 	ctx           context.Context
 	cancelCause   context.CancelCauseFunc
 	deadlineTimer *time.Timer
@@ -599,7 +599,7 @@ func (s *Server) worker() {
 			// and the job trace. Like Parallelism this is execution-only —
 			// canonicalisation zeroed it, so it never splits the cache.
 			spec.Profile = true
-			// The engines poll this context at their amortized check
+			// The step driver polls this context at its amortized check
 			// interval; slow-step chaos rides the same poll points as a
 			// context hook, so the engines never import chaos.
 			ctx := t.job.ctx

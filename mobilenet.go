@@ -287,23 +287,20 @@ func (nw *Network) Broadcast() (BroadcastResult, error) {
 	cfg := nw.coreConfig()
 	cfg.RecordCurve = true
 	cfg.TrackInformedArea = true
-	rec := nw.recorder("broadcast")
-	cfg.Observer = rec
-	r, err := core.RunBroadcast(cfg)
+	b, err := core.NewBroadcast(cfg)
 	if err != nil {
 		return BroadcastResult{}, err
 	}
-	res := BroadcastResult{
+	series := nw.drive(b, cfg.StepCap(), "broadcast")
+	r := b.Result()
+	return BroadcastResult{
 		Steps:         r.Steps,
 		Completed:     r.Completed,
 		Source:        r.Source,
 		InformedCurve: r.InformedCurve,
 		CoverageSteps: r.CoverageSteps,
-	}
-	if rec != nil {
-		res.Series = fromSeriesSet(rec.Series())
-	}
-	return res, nil
+		Series:        series,
+	}, nil
 }
 
 // GossipResult reports the outcome of a gossip (all-to-all) simulation.
@@ -332,42 +329,35 @@ func (nw *Network) GossipPartial(rumors int) (GossipResult, error) {
 
 func (nw *Network) gossip(rumors int) (GossipResult, error) {
 	cfg := nw.coreConfig()
-	rec := nw.recorder("gossip")
-	cfg.Observer = rec
-	r, err := core.RunPartialGossip(cfg, rumors)
+	g, err := core.NewPartialGossip(cfg, rumors)
 	if err != nil {
 		return GossipResult{}, err
 	}
-	res := GossipResult{Steps: r.Steps, Completed: r.Completed}
-	if rec != nil {
-		res.Series = fromSeriesSet(rec.Series())
-	}
-	return res, nil
+	series := nw.drive(g, cfg.StepCap(), "gossip")
+	r := g.Result()
+	return GossipResult{Steps: r.Steps, Completed: r.Completed, Series: series}, nil
 }
 
 // FrogBroadcast runs the Frog-model variant: only informed agents move,
 // sleepers stay at their initial nodes until woken.
 func (nw *Network) FrogBroadcast() (BroadcastResult, error) {
-	src := nw.opt.source
-	rec := nw.recorder("frog")
-	r, err := frog.RunFrog(frog.Config{
+	cfg := frog.Config{
 		Grid:     nw.g,
 		K:        nw.k,
 		Radius:   nw.opt.radius,
 		Seed:     nw.opt.seed,
-		Source:   src,
+		Source:   nw.opt.source,
 		MaxSteps: nw.opt.maxSteps,
 		Mobility: nw.opt.mobility,
-		Observer: rec,
-	})
+	}
+	s, err := frog.New(cfg)
 	if err != nil {
 		return BroadcastResult{}, err
 	}
-	res := BroadcastResult{Steps: r.Steps, Completed: r.Completed, Source: src, CoverageSteps: -1}
-	if rec != nil {
-		res.Series = fromSeriesSet(rec.Series())
-	}
-	return res, nil
+	series := nw.drive(s, cfg.StepCap(), "frog")
+	r := s.Result()
+	return BroadcastResult{Steps: r.Steps, Completed: r.Completed, Source: cfg.Source,
+		CoverageSteps: -1, Series: series}, nil
 }
 
 // CoverResult reports a cover-time measurement.
@@ -386,23 +376,20 @@ type CoverResult struct {
 // CoverTime measures how long the network's k agents (as plain independent
 // walks, no rumors) take to visit every grid node.
 func (nw *Network) CoverTime() (CoverResult, error) {
-	rec := nw.recorder("coverage")
-	r, err := coverage.Run(coverage.Config{
+	cfg := coverage.Config{
 		Grid:     nw.g,
 		Walkers:  nw.k,
 		Seed:     nw.opt.seed,
 		MaxSteps: nw.opt.maxSteps,
 		Mobility: nw.opt.mobility,
-		Observer: rec,
-	})
+	}
+	s, err := coverage.New(cfg)
 	if err != nil {
 		return CoverResult{}, err
 	}
-	res := CoverResult{Steps: r.Steps, Completed: r.Completed, Covered: r.Covered}
-	if rec != nil {
-		res.Series = fromSeriesSet(rec.Series())
-	}
-	return res, nil
+	series := nw.drive(s, cfg.StepCap(), "coverage")
+	r := s.Result()
+	return CoverResult{Steps: r.Steps, Completed: r.Completed, Covered: r.Covered, Series: series}, nil
 }
 
 // ExtinctionResult reports a predator-prey run.
@@ -422,8 +409,7 @@ type ExtinctionResult struct {
 // predators chasing the given number of moving preys; capture happens
 // within the configured transmission radius.
 func (nw *Network) Extinction(preys int) (ExtinctionResult, error) {
-	rec := nw.recorder("predator")
-	r, err := predator.RunExtinction(predator.Config{
+	cfg := predator.Config{
 		Grid:      nw.g,
 		Predators: nw.k,
 		Preys:     preys,
@@ -431,16 +417,14 @@ func (nw *Network) Extinction(preys int) (ExtinctionResult, error) {
 		Seed:      nw.opt.seed,
 		MaxSteps:  nw.opt.maxSteps,
 		Mobility:  nw.opt.mobility,
-		Observer:  rec,
-	})
+	}
+	s, err := predator.New(cfg)
 	if err != nil {
 		return ExtinctionResult{}, err
 	}
-	res := ExtinctionResult{Steps: r.Steps, Completed: r.Completed, Survivors: r.Survivors}
-	if rec != nil {
-		res.Series = fromSeriesSet(rec.Series())
-	}
-	return res, nil
+	series := nw.drive(s, cfg.StepCap(), "predator")
+	r := s.Result()
+	return ExtinctionResult{Steps: r.Steps, Completed: r.Completed, Survivors: r.Survivors, Series: series}, nil
 }
 
 // ComponentCensus summarises the component structure of the initial

@@ -6,6 +6,7 @@ import (
 
 	"mobilenet/internal/obs"
 	"mobilenet/internal/scenario"
+	"mobilenet/internal/step"
 )
 
 // Observation requests per-step time-series observables from a simulation:
@@ -144,6 +145,18 @@ func (r *ScenarioResult) WriteSeriesCSV(w io.Writer) error {
 // — the `mobisim -series-out file.json` export.
 func (r *ScenarioResult) WriteSeriesTableJSON(w io.Writer) error {
 	return obs.Table(toAggSeries(r.Series)).WriteJSON(w)
+}
+
+// drive runs a freshly built engine through the step driver under the
+// given step cap, recording the Network's observation request; it returns
+// the recorded series, nil when the engine observes nothing.
+func (nw *Network) drive(e step.Engine, stepCap int, engine string) *RepSeries {
+	rec := nw.recorder(engine)
+	step.Run(e, step.Hooks{Cap: stepCap, Observe: rec})
+	if rec == nil {
+		return nil
+	}
+	return fromSeriesSet(rec.Series())
 }
 
 // recorder builds the Network's observation recorder for one engine, or

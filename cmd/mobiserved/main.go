@@ -286,7 +286,7 @@ func serve(ctx context.Context, l net.Listener, opts serveOpts, out *os.File) er
 			"Sweep-point failovers: a worker exhausted its retry budget and its points moved to the next worker in their rendezvous order.")
 		for _, w := range opts.fleet {
 			dispatch[w] = m.Histogram("mobiserved_worker_dispatch_seconds",
-				"End-to-end remote point dispatch latency (submit, poll, fetch) per worker.",
+				"End-to-end remote point dispatch latency (submit, then a long-poll of the job, or a fetch when the worker had the result cached) per worker.",
 				telemetry.Label{Name: "worker", Value: w})
 		}
 		m.IntGaugeFunc("mobiserved_fleet_workers",

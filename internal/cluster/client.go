@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"mobilenet/internal/scenario"
@@ -29,13 +30,10 @@ func permanent(err error) bool {
 	return errors.As(err, &p)
 }
 
-// Poll pacing for a dispatched job: start tight (points at sweep scale are
-// often milliseconds) and back off to a cap so long points do not hammer
-// the worker.
-const (
-	pollBase = 2 * time.Millisecond
-	pollCap  = 100 * time.Millisecond
-)
+// pollSlice bounds one long-poll of a dispatched job: the worker answers
+// the moment the job finishes, or after this long with the job still
+// running, so a failed sweep is noticed within one slice.
+const pollSlice = 100 * time.Millisecond
 
 // queueFullRetry paces resubmission against a worker's full run queue.
 // Backpressure is flow control, not failure: the worker is alive and
@@ -81,113 +79,159 @@ func (c *Client) Healthy() error {
 	return nil
 }
 
-// RunPoint executes one canonical spec on the worker end to end: submit,
-// absorb queue-full backpressure, poll the job, and fetch the result
-// payload by hash — the exact bytes the worker computed and cached.
-// cancelled aborts between round trips (the job keeps running on the
-// worker; its result stays in the worker's cache for whoever asks next).
-// The returned cached flag reports the worker answered without running
-// anything. Errors are permanent (errPermanent: 4xx, failed or cancelled
-// jobs) or transient (everything else — transport failures, 5xx); the
+// Hop is the envelope one point carries over the coordinator→worker hop,
+// so the worker's logs, traces, fair queue and deadline see the client
+// request behind the point rather than the coordinator.
+type Hop struct {
+	// RequestID rides every round trip of the point as X-Request-Id.
+	RequestID string
+	// Client rides the submit as X-Client-Id.
+	Client string
+	// Deadline is when the point's budget runs out; the submit carries
+	// the whole milliseconds left as X-Deadline-Ms. Zero sends none.
+	Deadline time.Time
+}
+
+// RunPoint executes one canonical spec on the worker end to end: submit
+// (absorbing queue-full backpressure), then long-poll the job, whose done
+// view carries the result payload — the exact bytes the worker computed
+// and cached. A ticket the worker answered from its cache is fetched by
+// hash instead. cancelled aborts between round trips (the job keeps
+// running on the worker; its result stays in the worker's cache for
+// whoever asks next). The returned cached flag reports the worker
+// answered without running anything. Errors are permanent (errPermanent:
+// 4xx on submit, failed or cancelled jobs) or transient (everything else
+// — transport failures, 5xx, a job the worker no longer knows); the
 // caller owns retry and failover policy.
-func (c *Client) RunPoint(spec scenario.Spec, cancelled func() bool) (payload []byte, cached bool, err error) {
+func (c *Client) RunPoint(spec scenario.Spec, hop Hop, cancelled func() bool) (payload []byte, cached bool, err error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return nil, false, errPermanent{err}
 	}
-	var ticket simserve.Ticket
-	for {
-		status, err := c.postJSON("/v1/run", body, &ticket)
-		if err != nil {
-			return nil, false, err
-		}
-		if status == http.StatusServiceUnavailable {
-			// Queue full: wait for the worker to drain, unless the sweep
-			// died meanwhile.
-			if cancelled != nil && cancelled() {
-				return nil, false, errPermanent{errors.New("cluster: sweep cancelled")}
-			}
-			time.Sleep(queueFullRetry)
-			continue
-		}
-		if status != http.StatusOK && status != http.StatusAccepted {
-			return nil, false, errPermanent{fmt.Errorf("cluster: worker %s rejected the point: %d", c.base, status)}
-		}
-		break
+	ticket, err := c.submit(body, hop, cancelled)
+	if err != nil {
+		return nil, false, err
 	}
-	if !ticket.Cached {
-		if err := c.pollJob(ticket.JobID, cancelled); err != nil {
-			return nil, false, err
-		}
+	if ticket.Cached {
+		payload, err = c.fetchResult(ticket.Hash, hop)
+	} else {
+		payload, err = c.awaitJob(ticket, hop, cancelled)
 	}
-	payload, err = c.fetchResult(ticket.Hash)
 	if err != nil {
 		return nil, false, err
 	}
 	return payload, ticket.Cached, nil
 }
 
-// postJSON posts body and decodes a JSON response into out (when the
-// status carries one). Transport errors return as-is (transient).
-func (c *Client) postJSON(path string, body []byte, out any) (int, error) {
-	resp, err := c.hc.Post(c.base+path, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return 0, err
+// submit posts the spec with the point's client id and remaining
+// deadline, re-submitting while the worker's queue is full.
+func (c *Client) submit(body []byte, hop Hop, cancelled func() bool) (simserve.Ticket, error) {
+	for {
+		req, err := http.NewRequest(http.MethodPost, c.base+"/v1/run", bytes.NewReader(body))
+		if err != nil {
+			return simserve.Ticket{}, err
 		}
-	} else {
-		io.Copy(io.Discard, resp.Body)
+		req.Header.Set("Content-Type", "application/json")
+		if hop.Client != "" {
+			req.Header.Set("X-Client-Id", hop.Client)
+		}
+		if !hop.Deadline.IsZero() {
+			// At least 1: a spent budget still reaches the worker as a
+			// deadline, never as none.
+			left := max(time.Until(hop.Deadline).Milliseconds(), 1)
+			req.Header.Set("X-Deadline-Ms", strconv.FormatInt(left, 10))
+		}
+		status, reply, err := c.send(req, hop)
+		switch {
+		case err != nil:
+			return simserve.Ticket{}, err
+		case status == http.StatusOK || status == http.StatusAccepted:
+			var t simserve.Ticket
+			err := json.Unmarshal(reply, &t)
+			return t, err
+		case status != http.StatusServiceUnavailable:
+			return simserve.Ticket{}, errPermanent{fmt.Errorf("cluster: worker %s rejected the point: %d", c.base, status)}
+		}
+		// Queue full: wait for the worker to drain, unless the sweep died
+		// meanwhile.
+		if cancelled != nil && cancelled() {
+			return simserve.Ticket{}, errPermanent{errors.New("cluster: sweep cancelled")}
+		}
+		time.Sleep(queueFullRetry)
 	}
-	return resp.StatusCode, nil
 }
 
-// pollJob waits for a job to finish, backing the poll interval off from
-// pollBase to pollCap. A failed or cancelled job is a permanent error
-// carrying the worker's message.
-func (c *Client) pollJob(id string, cancelled func() bool) error {
-	interval := pollBase
+// awaitJob long-polls the ticket's job in pollSlice waits and returns the
+// payload its done view carries. A failed or cancelled job is a permanent
+// error carrying the worker's message. A poll that does not answer 200
+// with the ticket's own scenario is transient: the worker restarted (job
+// ids start again at job-1, so the id is unknown or names another
+// scenario) or evicted the finished record, and a resubmission finds the
+// result in its cache or store, or recomputes it.
+func (c *Client) awaitJob(t simserve.Ticket, hop Hop, cancelled func() bool) ([]byte, error) {
+	path := "/v1/jobs/" + t.JobID + "?wait_ms=" + strconv.FormatInt(pollSlice.Milliseconds(), 10)
 	for {
-		resp, err := c.hc.Get(c.base + "/v1/jobs/" + id)
+		status, reply, err := c.get(path, hop)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		var v simserve.JobView
-		err = json.NewDecoder(resp.Body).Decode(&v)
-		resp.Body.Close()
-		if err != nil {
-			return err
+		if status == http.StatusOK {
+			if err := json.Unmarshal(reply, &v); err != nil {
+				return nil, err
+			}
+		}
+		if status != http.StatusOK || v.Hash != t.Hash {
+			return nil, fmt.Errorf("cluster: worker %s no longer holds job %s for %s (status %d)", c.base, t.JobID, t.Hash, status)
 		}
 		switch v.Status {
 		case simserve.StatusDone:
-			return nil
+			return v.Result, nil
 		case simserve.StatusFailed, simserve.StatusCancelled:
-			return errPermanent{fmt.Errorf("cluster: worker %s job %s %s: %s", c.base, id, v.Status, v.Error)}
+			return nil, errPermanent{fmt.Errorf("cluster: worker %s job %s %s: %s", c.base, t.JobID, v.Status, v.Error)}
 		}
 		if cancelled != nil && cancelled() {
-			return errPermanent{errors.New("cluster: sweep cancelled")}
-		}
-		time.Sleep(interval)
-		if interval *= 2; interval > pollCap {
-			interval = pollCap
+			return nil, errPermanent{errors.New("cluster: sweep cancelled")}
 		}
 	}
 }
 
 // fetchResult fetches the exact cached payload bytes for a hash.
-func (c *Client) fetchResult(hash string) ([]byte, error) {
-	resp, err := c.hc.Get(c.base + "/v1/results/" + hash)
+func (c *Client) fetchResult(hash string, hop Hop) ([]byte, error) {
+	status, payload, err := c.get("/v1/results/"+hash, hop)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// The worker finished the job but no longer holds the payload —
-		// eviction raced us. Transient: a resubmission recomputes it.
-		return nil, fmt.Errorf("cluster: worker %s has no payload for %s (status %d)", c.base, hash, resp.StatusCode)
+	if status != http.StatusOK {
+		// The worker answered from its cache but evicted the payload
+		// before this fetch. Transient: a resubmission recomputes it.
+		return nil, fmt.Errorf("cluster: worker %s has no payload for %s (status %d)", c.base, hash, status)
 	}
-	return io.ReadAll(resp.Body)
+	return payload, nil
+}
+
+// get sends one GET round trip of the point's hop.
+func (c *Client) get(path string, hop Hop) (int, []byte, error) {
+	req, err := http.NewRequest(http.MethodGet, c.base+path, nil)
+	if err != nil {
+		return 0, nil, err
+	}
+	return c.send(req, hop)
+}
+
+// send makes one round trip of the point's hop, stamped with its request
+// id, and returns the reply's status and body — read to the end, so the
+// connection goes back to the pool. Transport errors return as-is
+// (transient).
+func (c *Client) send(req *http.Request, hop Hop) (int, []byte, error) {
+	if hop.RequestID != "" {
+		req.Header.Set("X-Request-Id", hop.RequestID)
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, body, err
 }

@@ -145,7 +145,12 @@ func (e *Executor) ExecutePoint(p sweep.Point, opts simserve.SubmitOptions, prog
 	e.inflight[p.Hash] = f
 	e.mu.Unlock()
 
-	payload, cached, err := e.dispatch(p, progress)
+	// The point's budget starts now: every retry and failover spends it.
+	hop := Hop{RequestID: opts.RequestID, Client: opts.Client}
+	if opts.Deadline > 0 {
+		hop.Deadline = time.Now().Add(opts.Deadline)
+	}
+	payload, cached, err := e.dispatch(p, hop, progress)
 	f.payload, f.err = payload, err
 	e.mu.Lock()
 	delete(e.inflight, p.Hash)
@@ -167,7 +172,7 @@ func (e *Executor) ExecutePoint(p sweep.Point, opts simserve.SubmitOptions, prog
 // point re-routes to the next in its chain — the counter hook fires once
 // per such failover. Permanent errors (the point itself is bad) surface
 // immediately: no other worker would answer differently.
-func (e *Executor) dispatch(p sweep.Point, progress simserve.PointProgress) ([]byte, bool, error) {
+func (e *Executor) dispatch(p sweep.Point, hop Hop, progress simserve.PointProgress) ([]byte, bool, error) {
 	started := false
 	start := func() {
 		if !started {
@@ -205,7 +210,7 @@ func (e *Executor) dispatch(p sweep.Point, progress simserve.PointProgress) ([]b
 			}
 			attempted[wi] = true
 			t0 := e.now()
-			payload, cachedOnWorker, err := e.tryWorker(wi, p, start, cancelled)
+			payload, cachedOnWorker, err := e.tryWorker(wi, p, hop, start, cancelled)
 			if err == nil {
 				if e.cfg.OnDispatch != nil {
 					e.cfg.OnDispatch(e.cfg.Workers[wi], e.now().Sub(t0))
@@ -229,7 +234,7 @@ func (e *Executor) dispatch(p sweep.Point, progress simserve.PointProgress) ([]b
 }
 
 // tryWorker runs the point on one worker with the bounded-retry backoff.
-func (e *Executor) tryWorker(wi int, p sweep.Point, start func(), cancelled func() bool) ([]byte, bool, error) {
+func (e *Executor) tryWorker(wi int, p sweep.Point, hop Hop, start func(), cancelled func() bool) ([]byte, bool, error) {
 	var lastErr error
 	for attempt := 0; attempt < e.cfg.Attempts; attempt++ {
 		if attempt > 0 {
@@ -239,7 +244,7 @@ func (e *Executor) tryWorker(wi int, p sweep.Point, start func(), cancelled func
 			}
 		}
 		start()
-		payload, cached, err := e.clients[wi].RunPoint(p.Spec, cancelled)
+		payload, cached, err := e.clients[wi].RunPoint(p.Spec, hop, cancelled)
 		if err == nil {
 			return payload, cached, nil
 		}

@@ -20,7 +20,9 @@ type PointExecutor interface {
 	// ExecutePoint returns the payload for the point's canonical spec —
 	// byte-identical to what a direct submission of the spec would serve —
 	// and whether it was answered without creating new work (a cache hit
-	// wherever the point executed). Implementations should honour
+	// wherever the point executed). opts is the sweep's envelope, its
+	// deadline already resolved against the server's default and cap; it
+	// bounds the point, not the sweep. Implementations should honour
 	// progress.Cancelled as a bail-early signal and call progress.Started
 	// once when real execution begins (cached answers never start).
 	ExecutePoint(p sweep.Point, opts SubmitOptions, progress PointProgress) (payload []byte, cached bool, err error)

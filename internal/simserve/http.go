@@ -1,6 +1,7 @@
 package simserve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -21,7 +22,7 @@ const maxSpecBytes = 1 << 20
 // ServeHTTP exposes the service API:
 //
 //	POST /v1/run                   submit a scenario spec (JSON body)
-//	GET  /v1/jobs/{id}             poll a job
+//	GET  /v1/jobs/{id}             poll a job (?wait_ms=N long-polls up to N ms, at most 1 s)
 //	GET  /v1/jobs/{id}/trace       export a finished job's trace (Chrome trace-event JSON)
 //	GET  /v1/results/{hash}        fetch a cached result payload
 //	GET  /v1/results/{hash}/series stream the result's observed series (NDJSON)
@@ -198,7 +199,21 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+	wait, err := waitFrom(r)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	id := r.PathValue("id")
+	if wait > 0 {
+		// Long-poll: hold the reply until the job finishes, the wait
+		// elapses or the client goes away. Wait's own error is dropped —
+		// the view read below reports the outcome, and an unknown id
+		// returns at once and answers 404.
+		ctx, cancel := context.WithTimeout(r.Context(), wait)
+		s.Wait(ctx, id)
+		cancel()
+	}
 	v, ok := s.Job(id)
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown job")

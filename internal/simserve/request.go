@@ -90,15 +90,39 @@ const deadlineHeader = "X-Deadline-Ms"
 // deadlineFrom parses the request's deadline header. Zero with a nil
 // error means no deadline was requested (the server default applies).
 func deadlineFrom(r *http.Request) (time.Duration, error) {
-	h := r.Header.Get(deadlineHeader)
-	if h == "" {
+	ms, err := positiveMillis(deadlineHeader, r.Header.Get(deadlineHeader))
+	return time.Duration(ms) * time.Millisecond, err
+}
+
+// waitParam opts a job poll into long-polling: the reply waits until the
+// job finishes or the wait elapses, whichever comes first.
+const waitParam = "wait_ms"
+
+// maxJobWait clamps a long-poll, well under the 10 s per-round-trip
+// timeout fleet coordinators apply: a poll is one round trip, so a waiting
+// client never times out on the server's own clamp.
+const maxJobWait = time.Second
+
+// waitFrom parses a job poll's wait_ms parameter, clamped to maxJobWait.
+// Zero with a nil error means the poll does not wait. The same rule as
+// X-Deadline-Ms applies: a stated wait must be a positive integer.
+func waitFrom(r *http.Request) (time.Duration, error) {
+	ms, err := positiveMillis(waitParam, r.URL.Query().Get(waitParam))
+	return time.Duration(min(ms, maxJobWait.Milliseconds())) * time.Millisecond, err
+}
+
+// positiveMillis parses a whole-milliseconds request value named name: an
+// empty value is absent (0, nil), anything but a positive integer is an
+// error.
+func positiveMillis(name, v string) (int64, error) {
+	if v == "" {
 		return 0, nil
 	}
-	ms, err := strconv.ParseInt(h, 10, 64)
+	ms, err := strconv.ParseInt(v, 10, 64)
 	if err != nil || ms <= 0 {
-		return 0, fmt.Errorf("simserve: %s must be a positive integer of milliseconds, got %q", deadlineHeader, h)
+		return 0, fmt.Errorf("simserve: %s must be a positive integer of milliseconds, got %q", name, v)
 	}
-	return time.Duration(ms) * time.Millisecond, nil
+	return ms, nil
 }
 
 // withRequestID returns ctx carrying the request id.

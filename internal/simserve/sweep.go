@@ -226,6 +226,10 @@ func (s *Server) runSweep(j *sweepJob) {
 	// in-flight bound and the progress/error accounting either way.
 	exec := s.executor()
 	sem := make(chan struct{}, s.executorConcurrency(exec))
+	// The deadline is resolved here, once, so this server's default and
+	// cap bound every point wherever it runs; a local submission resolves
+	// it again, which changes nothing.
+	opts := SubmitOptions{RequestID: j.requestID, Client: j.client, Deadline: s.effectiveDeadline(j.deadline)}
 	var wg sync.WaitGroup
 	for _, u := range uniq {
 		if cancelled() {
@@ -236,9 +240,7 @@ func (s *Server) runSweep(j *sweepJob) {
 		go func(u sweep.DistinctPoint) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			payload, cached, err := exec.ExecutePoint(u.Point, SubmitOptions{
-				RequestID: j.requestID, Client: j.client, Deadline: j.deadline,
-			}, PointProgress{
+			payload, cached, err := exec.ExecutePoint(u.Point, opts, PointProgress{
 				Cancelled: cancelled,
 				Started:   func() { recordRunning(u) },
 			})

@@ -30,6 +30,9 @@ func permanent(err error) bool {
 	return errors.As(err, &p)
 }
 
+// roundTripTimeout bounds each HTTP round trip to a worker.
+const roundTripTimeout = 10 * time.Second
+
 // pollSlice bounds one long-poll of a dispatched job: the worker answers
 // the moment the job finishes, or after this long with the job still
 // running, so a failed sweep is noticed within one slice.
@@ -57,7 +60,7 @@ func NewClient(addr string, hc *http.Client) *Client {
 		base = "http://" + base
 	}
 	if hc == nil {
-		hc = &http.Client{Timeout: 10 * time.Second}
+		hc = &http.Client{Timeout: roundTripTimeout}
 	}
 	return &Client{base: base, hc: hc}
 }

@@ -16,8 +16,10 @@ import (
 type Config struct {
 	// Workers are the fleet's addresses (host:port). At least one.
 	Workers []string
-	// HTTPClient overrides the per-round-trip HTTP client (nil selects a
-	// 10s-timeout default). Tests point it at httptest servers.
+	// HTTPClient overrides the per-round-trip HTTP client. Nil selects one
+	// client shared by every worker, with a 10s timeout per round trip and
+	// an idle connection per host for each point Concurrency keeps in
+	// flight. Tests point it at httptest servers.
 	HTTPClient *http.Client
 
 	// Attempts bounds tries per worker before failing over to the next in
@@ -69,6 +71,15 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Concurrency <= 0 {
 		c.Concurrency = 4 * len(c.Workers)
+	}
+	if c.HTTPClient == nil {
+		// Each in-flight point holds one connection through its submit and
+		// its long-poll. http.DefaultTransport keeps only two idle per
+		// host, so every burst of more points on one worker would dial new
+		// connections and close them on return.
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.MaxIdleConnsPerHost = c.Concurrency
+		c.HTTPClient = &http.Client{Timeout: roundTripTimeout, Transport: t}
 	}
 	return c
 }

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mobilenet/internal/chaos"
 	"mobilenet/internal/scenario"
 	"mobilenet/internal/simserve"
 	"mobilenet/internal/sweep"
@@ -69,6 +72,52 @@ func coordinator(t *testing.T, workers []string, tweak func(*Config)) (*simserve
 		coord.Shutdown(ctx)
 	})
 	return coord, exec
+}
+
+// TestIdleConnectionsCoverConcurrency: with no HTTPClient configured, the
+// executor keeps an idle connection for every point it may have in flight
+// on a worker, so once the first sweep has opened them, later sweeps
+// through the same worker dial nothing new.
+func TestIdleConnectionsCoverConcurrency(t *testing.T) {
+	t.Parallel()
+	// Every job waits 20ms in the worker, so the executor's in-flight
+	// points overlap and the first sweep opens all the connections the
+	// later ones need.
+	slow, err := chaos.Parse(chaos.QueueLatency + ":1:20ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := simserve.New(simserve.Config{Workers: 4, Chaos: slow})
+	ts := httptest.NewUnstartedServer(w)
+	var opened atomic.Int64
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		w.Shutdown(ctx)
+	})
+	coord, exec := coordinator(t, []string{ts.Listener.Addr().String()}, nil)
+	// Each sweep has twice as many points as the executor keeps in flight,
+	// on fresh seeds so that every point reaches the worker.
+	n := int64(2 * exec.PointConcurrency())
+	sp := testSweep()
+	var first int64
+	for i := int64(0); i < 5; i++ {
+		sp.Axes = []sweep.Axis{{Field: "seed", From: i64(n*i + 1), To: i64(n*i + n), Step: i64(1)}}
+		waitSweep(t, coord, sp)
+		if i == 0 {
+			first = opened.Load()
+		}
+	}
+	if got := opened.Load(); got != first {
+		t.Fatalf("later sweeps opened %d new connections to the worker (%d after the first sweep), want none", got-first, first)
+	}
 }
 
 func waitSweep(t *testing.T, s *simserve.Server, sp sweep.Spec) []byte {

@@ -5,6 +5,7 @@ import (
 
 	"mobilenet/internal/grid"
 	"mobilenet/internal/obs"
+	"mobilenet/internal/prof"
 	"mobilenet/internal/step"
 )
 
@@ -154,15 +155,29 @@ func BenchmarkObservedBroadcastStep(b *testing.B) {
 	})
 }
 
+// unobservedBroadcast builds the unobserved driver the two benchmarks below
+// time. A non-nil p profiles it the way the scenario runner does: the
+// engine (Config.Profile) and the driver (Hooks.Profile) share the one
+// StepProfile, so its laps tile every step.
+func unobservedBroadcast(b *testing.B, p *prof.StepProfile) *step.Driver {
+	cfg := Config{Grid: grid.MustNew(64), K: 256, Radius: 1, Seed: 7, Source: 0, Parallelism: 1, Profile: p}
+	br, err := NewBroadcast(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return step.New(br, step.Hooks{Cap: cfg.StepCap(), Profile: p})
+}
+
 // BenchmarkBroadcastStepBaseline is the unobserved twin of the benchmark
 // above, so the observation overhead is a one-line comparison.
 func BenchmarkBroadcastStepBaseline(b *testing.B) {
-	benchDriverSteps(b, func() *step.Driver {
-		cfg := Config{Grid: grid.MustNew(64), K: 256, Radius: 1, Seed: 7, Source: 0, Parallelism: 1}
-		br, err := NewBroadcast(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return step.New(br, step.Hooks{Cap: cfg.StepCap()})
-	})
+	benchDriverSteps(b, func() *step.Driver { return unobservedBroadcast(b, nil) })
+}
+
+// BenchmarkProfiledBroadcastStep is the baseline under the step-phase
+// profiler the service attaches to every replicate, so the profiler's
+// per-step cost (its clock reads) is a one-line comparison too; it must
+// report 0 allocs/op like the baseline.
+func BenchmarkProfiledBroadcastStep(b *testing.B) {
+	benchDriverSteps(b, func() *step.Driver { return unobservedBroadcast(b, new(prof.StepProfile)) })
 }

@@ -407,3 +407,38 @@ func TestDeadlineHeaderParsing(t *testing.T) {
 		}
 	}
 }
+
+// TestDeadlineHeaderRejectsOverflow: a deadline past the largest
+// whole-millisecond time.Duration is a 400 that creates no job or sweep,
+// on both submit routes. Converted, the first value would wrap to a
+// 448µs deadline and the second to a negative one, which silently
+// selects the server's default.
+func TestDeadlineHeaderRejectsOverflow(t *testing.T) {
+	t.Parallel()
+	s, ts := testServer(t, Config{Workers: 1})
+	run, err := json.Marshal(fastSpec(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweepBody := `{"base":{"engine":"broadcast","nodes":256,"agents":8,"seed":17},"axes":[{"field":"radius","values":[0,1]}]}`
+	for _, bad := range []string{"18446744073710", "9223372036855"} {
+		for path, body := range map[string]string{"/v1/run": string(run), "/v1/sweeps": sweepBody} {
+			req, _ := http.NewRequest("POST", ts.URL+path, strings.NewReader(body))
+			req.Header.Set(deadlineHeader, bad)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s with deadline %q answered %d, want 400", path, bad, resp.StatusCode)
+			}
+		}
+	}
+	if _, ok := s.Job("job-1"); ok {
+		t.Fatal("a rejected deadline created a job")
+	}
+	if _, ok := s.Sweep("sweep-1"); ok {
+		t.Fatal("a rejected deadline created a sweep")
+	}
+}

@@ -3,6 +3,7 @@ package simserve
 import (
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -82,15 +83,23 @@ func clientID(r *http.Request) string {
 }
 
 // deadlineHeader carries a per-request deadline in whole milliseconds.
-// The server's MaxDeadline still caps the result; an unparseable or
-// non-positive value is a 400, not a silent fallback — a client that
-// states a deadline means it.
+// The server's MaxDeadline still caps the result; an unparseable,
+// non-positive or unrepresentable value is a 400, not a silent fallback —
+// a client that states a deadline means it.
 const deadlineHeader = "X-Deadline-Ms"
+
+// maxDeadlineMillis is the largest whole number of milliseconds a
+// time.Duration holds; a larger deadline would wrap around when converted.
+const maxDeadlineMillis = int64(math.MaxInt64 / time.Millisecond)
 
 // deadlineFrom parses the request's deadline header. Zero with a nil
 // error means no deadline was requested (the server default applies).
 func deadlineFrom(r *http.Request) (time.Duration, error) {
-	ms, err := positiveMillis(deadlineHeader, r.Header.Get(deadlineHeader))
+	v := r.Header.Get(deadlineHeader)
+	ms, err := positiveMillis(deadlineHeader, v)
+	if ms > maxDeadlineMillis {
+		return 0, fmt.Errorf("simserve: %s must be at most %d milliseconds, got %q", deadlineHeader, maxDeadlineMillis, v)
+	}
 	return time.Duration(ms) * time.Millisecond, err
 }
 

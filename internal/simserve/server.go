@@ -594,9 +594,11 @@ func (s *Server) worker() {
 			// stacking labeller goroutines on top of busy workers.
 			spec := t.job.spec
 			spec.Parallelism = 1
-			// The service always profiles: phase breakdowns cost a few
-			// clock reads per step and feed the engine-phase histograms
-			// and the job trace. Like Parallelism this is execution-only —
+			// The service always profiles: phase breakdowns feed the
+			// engine-phase histograms and the job trace. They cost one
+			// monotonic clock read per phase boundary, six per broadcast
+			// step, which at small k is a fifth of a replicate's CPU
+			// (DESIGN.md §12). Like Parallelism this is execution-only —
 			// canonicalisation zeroed it, so it never splits the cache.
 			spec.Profile = true
 			// The step driver polls this context at its amortized check

@@ -175,9 +175,7 @@ func (s *Store) recover() error {
 		if old, ok := s.entries[r.e.key]; ok {
 			// Two files claiming one key (renamed under different names
 			// cannot happen via Put, but be defensive): keep the newer.
-			s.unlink(old)
-			s.total -= old.size
-			delete(s.entries, old.key)
+			s.removeLocked(old)
 			os.Remove(s.path(old.key))
 		}
 		s.entries[r.e.key] = r.e
@@ -266,7 +264,15 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		s.hits.Add(1)
 		return payload, true
 	case os.IsNotExist(err):
+		// Evicted under us, or removed behind the store's back: forget the
+		// entry so the gauges and the byte budget stop counting it — unless
+		// a concurrent Put has already replaced it with a committed file.
 		s.misses.Add(1)
+		s.mu.Lock()
+		if s.entries[key] == e {
+			s.removeLocked(e)
+		}
+		s.mu.Unlock()
 		return nil, false
 	default:
 		s.corrupt.Add(1)
@@ -311,12 +317,18 @@ func readVerify(path, key string) ([]byte, error) {
 func (s *Store) dropEntry(key string) {
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok {
-		s.unlink(e)
-		s.total -= e.size
-		delete(s.entries, key)
+		s.removeLocked(e)
 	}
 	s.mu.Unlock()
 	os.Remove(s.path(key))
+}
+
+// removeLocked takes a live entry out of the index and the access list.
+// The caller holds mu and decides what happens to the entry's file.
+func (s *Store) removeLocked(e *entry) {
+	s.unlink(e)
+	s.total -= e.size
+	delete(s.entries, e.key)
 }
 
 // Put stores payload under key, replacing any existing entry, and evicts
@@ -340,9 +352,7 @@ func (s *Store) Put(key string, payload []byte) error {
 	}
 	s.mu.Lock()
 	if old, ok := s.entries[key]; ok {
-		s.unlink(old)
-		s.total -= old.size
-		delete(s.entries, key)
+		s.removeLocked(old)
 	}
 	e := &entry{key: key, size: int64(len(payload))}
 	s.entries[key] = e
@@ -397,9 +407,7 @@ func (s *Store) commit(key string, payload []byte) error {
 func (s *Store) evictLocked() {
 	for s.total > s.maxBytes && s.tail != nil {
 		victim := s.tail
-		s.unlink(victim)
-		s.total -= victim.size
-		delete(s.entries, victim.key)
+		s.removeLocked(victim)
 		os.Remove(s.path(victim.key))
 		s.evictions.Add(1)
 	}

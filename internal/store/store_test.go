@@ -197,6 +197,37 @@ func TestWrongKeyFrameIsMiss(t *testing.T) {
 	}
 }
 
+// TestVanishedFileDropsEntry: an entry whose file disappeared behind the
+// store's back is a miss that also leaves the index, so Len, Bytes and the
+// byte budget stop counting it; a later Put of the key stores and serves
+// again.
+func TestVanishedFileDropsEntry(t *testing.T) {
+	t.Parallel()
+	s := mustOpen(t, t.TempDir(), 1<<20)
+	if err := s.Put("gone", []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(s.path("gone")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get("gone"); ok {
+		t.Fatal("Get served an entry whose file is gone")
+	}
+	if st := s.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Misses != 1 || st.Corrupt != 0 {
+		t.Fatalf("stats after the vanished-file miss = %+v, want no entries, no bytes, one miss", st)
+	}
+	again := []byte("payload, stored again")
+	if err := s.Put("gone", again); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get("gone"); !ok || !bytes.Equal(got, again) {
+		t.Fatalf("Get after re-Put = %q, %v; want the new payload", got, ok)
+	}
+	if st := s.Stats(); st.Entries != 1 || st.Bytes != int64(len(again)) {
+		t.Fatalf("stats after re-Put = %+v", st)
+	}
+}
+
 func TestEvictionOldestFirst(t *testing.T) {
 	t.Parallel()
 	// Bound fits exactly four 100-byte payloads.

@@ -30,6 +30,16 @@ func permanent(err error) bool {
 	return errors.As(err, &p)
 }
 
+// errCancelled marks failures that belong to the requester's envelope, not
+// to the point: the requester's sweep was cancelled, or the worker cut the
+// job short (the requester's X-Deadline-Ms ran out, or the worker shut
+// down). Match with errors.Is. Another requester coalesced onto the same
+// point does not share such a failure while its own sweep is live.
+var errCancelled = errors.New("cancelled")
+
+// errSweepCancelled is the requester's own sweep dying mid-point.
+var errSweepCancelled = fmt.Errorf("cluster: sweep %w", errCancelled)
+
 // roundTripTimeout bounds each HTTP round trip to a worker.
 const roundTripTimeout = 10 * time.Second
 
@@ -105,7 +115,8 @@ type Hop struct {
 // answered without running anything. Errors are permanent (errPermanent:
 // 4xx on submit, failed or cancelled jobs) or transient (everything else
 // — transport failures, 5xx, a job the worker no longer knows); the
-// caller owns retry and failover policy.
+// caller owns retry and failover policy. A cancelled job and a cancelled
+// sweep are also of the errCancelled class.
 func (c *Client) RunPoint(spec scenario.Spec, hop Hop, cancelled func() bool) (payload []byte, cached bool, err error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -158,7 +169,7 @@ func (c *Client) submit(body []byte, hop Hop, cancelled func() bool) (simserve.T
 		// Queue full: wait for the worker to drain, unless the sweep died
 		// meanwhile.
 		if cancelled != nil && cancelled() {
-			return simserve.Ticket{}, errPermanent{errors.New("cluster: sweep cancelled")}
+			return simserve.Ticket{}, errPermanent{errSweepCancelled}
 		}
 		time.Sleep(queueFullRetry)
 	}
@@ -190,11 +201,13 @@ func (c *Client) awaitJob(t simserve.Ticket, hop Hop, cancelled func() bool) ([]
 		switch v.Status {
 		case simserve.StatusDone:
 			return v.Result, nil
-		case simserve.StatusFailed, simserve.StatusCancelled:
-			return nil, errPermanent{fmt.Errorf("cluster: worker %s job %s %s: %s", c.base, t.JobID, v.Status, v.Error)}
+		case simserve.StatusFailed:
+			return nil, errPermanent{fmt.Errorf("cluster: worker %s job %s failed: %s", c.base, t.JobID, v.Error)}
+		case simserve.StatusCancelled:
+			return nil, errPermanent{fmt.Errorf("cluster: worker %s job %s %w: %s", c.base, t.JobID, errCancelled, v.Error)}
 		}
 		if cancelled != nil && cancelled() {
-			return nil, errPermanent{errors.New("cluster: sweep cancelled")}
+			return nil, errPermanent{errSweepCancelled}
 		}
 	}
 }

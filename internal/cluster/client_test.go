@@ -53,7 +53,13 @@ func (l *hopLog) count(method, prefix string) int {
 // worker's stead by returning true.
 func recordedWorker(t *testing.T, intercept func(s *simserve.Server, w http.ResponseWriter, r *http.Request) bool) (*simserve.Server, *httptest.Server, *hopLog) {
 	t.Helper()
-	s := simserve.New(simserve.Config{Workers: 2})
+	return recordedWorkerWith(t, simserve.Config{Workers: 2}, intercept)
+}
+
+// recordedWorkerWith is recordedWorker over a worker built from cfg.
+func recordedWorkerWith(t *testing.T, cfg simserve.Config, intercept func(s *simserve.Server, w http.ResponseWriter, r *http.Request) bool) (*simserve.Server, *httptest.Server, *hopLog) {
+	t.Helper()
+	s := simserve.New(cfg)
 	log := &hopLog{}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		log.mu.Lock()

@@ -101,7 +101,8 @@ type Executor struct {
 }
 
 // flight is one in-progress distinct point: the first requester executes,
-// later requesters (overlapping sweeps) wait and share the outcome.
+// later requesters (overlapping sweeps) wait and share the outcome, bar a
+// cancellation of the first requester's envelope.
 type flight struct {
 	done    chan struct{}
 	payload []byte
@@ -135,6 +136,17 @@ func (e *Executor) PointConcurrency() int { return e.cfg.Concurrency }
 // ExecutePoint implements simserve.PointExecutor: coordinator cache, then
 // in-flight coalescing, then the point's rendezvous-ordered failover chain.
 func (e *Executor) ExecutePoint(p sweep.Point, opts simserve.SubmitOptions, progress simserve.PointProgress) ([]byte, bool, error) {
+	// The point's budget starts now: every retry and failover spends it,
+	// and so does waiting on another sweep's flight.
+	hop := Hop{RequestID: opts.RequestID, Client: opts.Client}
+	if opts.Deadline > 0 {
+		hop.Deadline = time.Now().Add(opts.Deadline)
+	}
+	return e.execute(p, hop, progress)
+}
+
+// execute runs ExecutePoint under the point's resolved envelope.
+func (e *Executor) execute(p sweep.Point, hop Hop, progress simserve.PointProgress) ([]byte, bool, error) {
 	if e.cfg.Lookup != nil {
 		if payload, ok := e.cfg.Lookup(p.Hash); ok {
 			return payload, true, nil
@@ -142,25 +154,26 @@ func (e *Executor) ExecutePoint(p sweep.Point, opts simserve.SubmitOptions, prog
 	}
 
 	// Coalesce overlapping sweeps' requests for the same distinct point:
-	// one network execution, shared by everyone who asked while it ran.
+	// one network execution, shared by everyone who asked while it ran —
+	// its payload and its failures, unless the flight ended on its leader's
+	// envelope (errCancelled). That outcome says nothing about the point,
+	// so a follower whose own sweep is live runs the point again.
 	e.mu.Lock()
 	if f, ok := e.inflight[p.Hash]; ok {
 		e.mu.Unlock()
 		<-f.done
-		if f.err != nil {
-			return nil, false, f.err
+		if f.err == nil {
+			return f.payload, true, nil
 		}
-		return f.payload, true, nil
+		if errors.Is(f.err, errCancelled) && (progress.Cancelled == nil || !progress.Cancelled()) {
+			return e.execute(p, hop, progress)
+		}
+		return nil, false, f.err
 	}
 	f := &flight{done: make(chan struct{})}
 	e.inflight[p.Hash] = f
 	e.mu.Unlock()
 
-	// The point's budget starts now: every retry and failover spends it.
-	hop := Hop{RequestID: opts.RequestID, Client: opts.Client}
-	if opts.Deadline > 0 {
-		hop.Deadline = time.Now().Add(opts.Deadline)
-	}
 	payload, cached, err := e.dispatch(p, hop, progress)
 	f.payload, f.err = payload, err
 	e.mu.Lock()
@@ -209,7 +222,7 @@ func (e *Executor) dispatch(p sweep.Point, hop Hop, progress simserve.PointProgr
 		skipped := false
 		for _, wi := range order {
 			if cancelled() {
-				return nil, false, errors.New("cluster: sweep cancelled")
+				return nil, false, errSweepCancelled
 			}
 			if round == 0 && e.isDown(wi) {
 				skipped = true
@@ -251,7 +264,7 @@ func (e *Executor) tryWorker(wi int, p sweep.Point, hop Hop, start func(), cance
 		if attempt > 0 {
 			e.sleep(e.backoff(attempt))
 			if cancelled() {
-				return nil, false, errPermanent{errors.New("cluster: sweep cancelled")}
+				return nil, false, errPermanent{errSweepCancelled}
 			}
 		}
 		start()

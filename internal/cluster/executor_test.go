@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -307,5 +308,109 @@ func TestNoWorkers(t *testing.T) {
 	t.Parallel()
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New accepted an empty worker set")
+	}
+}
+
+// TestCoalescedFollowerOwnsItsEnvelope: two sweeps ask for one point, and
+// the second coalesces onto the first's flight. When the flight ends on the
+// leader's envelope — its sweep cancelled mid-point, or its deadline
+// cutting the worker's job short — the follower, whose own sweep is live,
+// runs the point again and gets the payload. A genuine failure of the
+// point (here a 4xx) is still shared without a second submit.
+func TestCoalescedFollowerOwnsItsEnvelope(t *testing.T) {
+	t.Parallel()
+	// Every job waits 300ms in the worker, so the follower joins a flight
+	// that is still running when the leader's envelope ends it.
+	slow, err := chaos.Parse(chaos.QueueLatency + ":1:300ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		leader    simserve.SubmitOptions
+		cancel    bool // cancel the leader's sweep once the follower waits
+		reject    bool // the worker rejects the point
+		wantShare bool // the follower shares the leader's failure
+	}{
+		{name: "leader sweep cancelled", cancel: true},
+		{name: "leader deadline", leader: simserve.SubmitOptions{Deadline: 50 * time.Millisecond}},
+		{name: "point rejected", reject: true, wantShare: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			w, ts, log := recordedWorkerWith(t, simserve.Config{Workers: 2, Chaos: slow}, func(_ *simserve.Server, w http.ResponseWriter, r *http.Request) bool {
+				if !tc.reject || r.Method != http.MethodPost {
+					return false
+				}
+				time.Sleep(300 * time.Millisecond)
+				w.WriteHeader(http.StatusBadRequest)
+				return true
+			})
+			e := executor(t, ts.URL)
+			p := firstPoint(t)
+
+			var leaderCancelled atomic.Bool
+			leaderErr := make(chan error, 1)
+			go func() {
+				_, _, err := e.ExecutePoint(p, tc.leader, simserve.PointProgress{Cancelled: leaderCancelled.Load})
+				leaderErr <- err
+			}()
+			for {
+				e.mu.Lock()
+				_, led := e.inflight[p.Hash]
+				e.mu.Unlock()
+				if led {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			type outcome struct {
+				payload []byte
+				err     error
+			}
+			follower := make(chan outcome, 1)
+			go func() {
+				payload, _, err := e.ExecutePoint(p, simserve.SubmitOptions{}, simserve.PointProgress{Cancelled: func() bool { return false }})
+				follower <- outcome{payload, err}
+			}()
+			time.Sleep(50 * time.Millisecond) // the follower is waiting on the flight
+			if tc.cancel {
+				leaderCancelled.Store(true)
+			}
+
+			var lerr error
+			select {
+			case lerr = <-leaderErr:
+			case <-time.After(10 * time.Second):
+				t.Fatal("leader still in flight after 10s")
+			}
+			if lerr == nil {
+				t.Fatal("leader succeeded; the test needs its flight to fail")
+			}
+			if cancelClass := errors.Is(lerr, errCancelled); cancelClass == tc.wantShare {
+				t.Fatalf("leader error %q: errCancelled class %v, want %v", lerr, cancelClass, !tc.wantShare)
+			}
+			var o outcome
+			select {
+			case o = <-follower:
+			case <-time.After(10 * time.Second):
+				t.Fatal("follower still in flight after 10s")
+			}
+			if tc.wantShare {
+				if o.err == nil || o.err.Error() != lerr.Error() {
+					t.Fatalf("follower got %v, want the leader's %v", o.err, lerr)
+				}
+				if runs := log.count("POST", "/v1/run"); runs != 1 {
+					t.Fatalf("%d submits for a rejected point, want the leader's 1", runs)
+				}
+				return
+			}
+			if o.err != nil {
+				t.Fatalf("follower failed with the leader's envelope: %v", o.err)
+			}
+			if want, _ := w.Result(p.Hash); !bytes.Equal(o.payload, want) {
+				t.Fatal("follower payload differs from the worker's cached bytes")
+			}
+		})
 	}
 }

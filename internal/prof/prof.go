@@ -20,13 +20,14 @@
 // well as off.
 //
 // The reads are the profiler's whole cost, and at the service's scale they
-// are not negligible. A broadcast step with k = 8 or 16 agents on a
-// 256-node grid takes one to two microseconds across its six boundaries,
-// so every per-step phase the service publishes carries one read: about
-// 53 ns on a 2-vCPU Xeon host, where time.Now, which also reads the wall
-// clock, took about 95 ns. There, the boundaries' share of a profiled
-// replicate's CPU fell from 30% with time.Now to 22% with one monotonic
-// read each; DESIGN.md §12 has the per-phase figures.
+// are not negligible. A broadcast step has six boundaries, or five at
+// k <= 32 agents, where the labeller checks every pair and laps no Index
+// phase. Every per-step phase the service publishes carries one read:
+// about 53 ns on a 2-vCPU Xeon host, where time.Now, which also reads the
+// wall clock, took about 95 ns. Since small populations check every pair,
+// the engine work under the reads is small: a fleet-sized replicate
+// (k = 8 on a 256-node grid) took 174–217 µs profiled against 103–112 µs
+// unprofiled. DESIGN.md §12 has the per-phase figures.
 package prof
 
 import "time"
@@ -42,7 +43,8 @@ const (
 	// Move is motion-model stepping: advancing agent positions one tick.
 	Move Phase = iota
 	// Index is spatial-index construction: the CSR bucket build (counting
-	// sort) that precedes component labelling.
+	// sort) that precedes component labelling. Populations of at most 32
+	// agents are labelled from every pair and never enter it.
 	Index
 	// Label is connectivity resolution: union-find over candidate pairs
 	// plus the dense deterministic label pass.

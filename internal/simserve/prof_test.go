@@ -156,41 +156,63 @@ func TestJobTraceEndpoint(t *testing.T) {
 // surface promises: after a job runs, /metrics exposes
 // mobiserved_engine_phase_seconds histograms whose {engine,phase} labels
 // ParseHistograms recovers, with one observation per replicate for phases
-// the engine exercises.
+// the engine exercises. Above the labeller's all-pairs threshold (32
+// agents) a broadcast step indexes; at or below it every pair is checked
+// with no index lap, so that series never materialises.
 func TestEnginePhaseHistograms(t *testing.T) {
 	t.Parallel()
-	s := New(Config{Workers: 2})
-	defer s.Shutdown(context.Background())
-	const reps = 2
-	spec := scenario.Spec{Engine: "broadcast", Nodes: 1024, Agents: 16, Seed: 4, Reps: reps}
-	ticket, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := contextWithTimeout(t)
-	defer cancel()
-	if _, err := s.Wait(ctx, ticket.JobID); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name   string
+		agents int
+		want   []string
+		absent []string
+	}{
+		{"kernel", 64, []string{"move", "index", "label", "spread"}, nil},
+		{"all-pairs", 16, []string{"move", "label", "spread"}, []string{"index"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			s := New(Config{Workers: 2})
+			defer s.Shutdown(context.Background())
+			const reps = 2
+			spec := scenario.Spec{Engine: "broadcast", Nodes: 1024, Agents: tc.agents, Seed: 4, Reps: reps}
+			ticket, err := s.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := contextWithTimeout(t)
+			defer cancel()
+			if _, err := s.Wait(ctx, ticket.JobID); err != nil {
+				t.Fatal(err)
+			}
 
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	parsed := telemetry.ParseHistograms(rec.Body.String())
-	for _, phase := range []string{"move", "index", "label", "spread"} {
-		key := `mobiserved_engine_phase_seconds{engine="broadcast",phase="` + phase + `"}`
-		h, ok := parsed[key]
-		if !ok {
-			t.Errorf("%s missing from /metrics", key)
-			continue
-		}
-		if h.Count() != reps {
-			t.Errorf("%s observations = %d, want one per replicate (%d)", key, h.Count(), reps)
-		}
-	}
-	// Unexercised (engine, phase) pairs must not leak series: no scenario
-	// ran on the other engines.
-	if _, ok := parsed[`mobiserved_engine_phase_seconds{engine="predator",phase="move"}`]; ok {
-		t.Error("phase histogram materialised for an engine that never ran")
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+			parsed := telemetry.ParseHistograms(rec.Body.String())
+			key := func(phase string) string {
+				return `mobiserved_engine_phase_seconds{engine="broadcast",phase="` + phase + `"}`
+			}
+			for _, phase := range tc.want {
+				h, ok := parsed[key(phase)]
+				if !ok {
+					t.Errorf("%s missing from /metrics", key(phase))
+					continue
+				}
+				if h.Count() != reps {
+					t.Errorf("%s observations = %d, want one per replicate (%d)", key(phase), h.Count(), reps)
+				}
+			}
+			for _, phase := range tc.absent {
+				if _, ok := parsed[key(phase)]; ok {
+					t.Errorf("%s present in /metrics for a run that never enters the phase", key(phase))
+				}
+			}
+			// Unexercised (engine, phase) pairs must not leak series: no
+			// scenario ran on the other engines.
+			if _, ok := parsed[`mobiserved_engine_phase_seconds{engine="predator",phase="move"}`]; ok {
+				t.Error("phase histogram materialised for an engine that never ran")
+			}
+		})
 	}
 }
 

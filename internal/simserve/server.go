@@ -597,7 +597,10 @@ func (s *Server) worker() {
 			// The service always profiles: phase breakdowns feed the
 			// engine-phase histograms and the job trace. They cost one
 			// monotonic clock read per phase boundary, six per broadcast
-			// step, which at small k is a fifth of a replicate's CPU
+			// step, or five at k <= 32, where the labeller checks every
+			// pair and takes no index lap. That leaves the reads a large
+			// share of a small replicate: a fleet-hop point at k = 8 took
+			// 174–217 µs profiled against 103–112 µs unprofiled
 			// (DESIGN.md §12). Like Parallelism this is execution-only —
 			// canonicalisation zeroed it, so it never splits the cache.
 			spec.Profile = true

@@ -1,12 +1,14 @@
 package visibility
 
 // Ablation benchmarks for the component-labelling design choices called out
-// in DESIGN.md. Four generations of the labeller are compared: the O(k²)
-// all-pairs brute force, the map-backed spatial hash it was first replaced
-// by (retained here verbatim as mapLabeller), the flat CSR bucket index
-// that rebuilds from scratch every call, and the incremental labeller that
-// maintains the index across steps. Correctness equivalence is established
-// by TestAblationBaselinesAgree, the differential harness in
+// in DESIGN.md. Three generations of the labeller are compared: the O(k²)
+// all-pairs brute force, the flat CSR bucket index that rebuilds from
+// scratch every call, and the incremental labeller that maintains the index
+// across steps — plus, at small populations, the production selection,
+// which checks every pair up to allPairsK agents. (The map-backed spatial
+// hash between brute force and the CSR index is retired; its figures stay
+// in BENCH_visibility.json.) Correctness equivalence is established by
+// TestAblationBaselinesAgree, the differential harness in
 // differential_test.go, and the brute-force comparison tests in
 // visibility_test.go; these benchmarks quantify the gaps at sparse-regime
 // densities. BENCH_visibility.json records the measured trajectory.
@@ -47,115 +49,6 @@ func (b *bruteLabeller) components(pos []grid.Point, r int) ([]int32, int) {
 	return b.labels[:k], b.dsu.Labels(b.labels[:k])
 }
 
-// mapLabeller is the previous production labeller, frozen for the ablation:
-// a map[uint64][]int32 spatial hash with a bucket recycle pool, the design
-// the CSR index replaced. Its dense label pass is identical to the current
-// one, so its labels — not just its partitions — must match.
-type mapLabeller struct {
-	dsu       *unionfind.DSU
-	buckets   map[uint64][]int32
-	keys      []uint64
-	pool      [][]int32
-	labels    []int32
-	rootLabel []int32
-}
-
-func newMapLabeller(k int) *mapLabeller {
-	return &mapLabeller{
-		dsu:       unionfind.New(k),
-		buckets:   make(map[uint64][]int32, k),
-		labels:    make([]int32, k),
-		rootLabel: make([]int32, k),
-	}
-}
-
-func mapBucketKey(bx, by int32) uint64 {
-	return uint64(uint32(bx))<<32 | uint64(uint32(by))
-}
-
-func (l *mapLabeller) components(pos []grid.Point, r int) ([]int32, int) {
-	k := len(pos)
-	d := l.dsu
-	d.Reset()
-
-	if r >= 0 && k > 1 {
-		cell := int32(r)
-		if cell < 1 {
-			cell = 1
-		}
-		for key, b := range l.buckets {
-			l.pool = append(l.pool, b[:0])
-			delete(l.buckets, key)
-		}
-		l.keys = l.keys[:0]
-		for i := 0; i < k; i++ {
-			key := mapBucketKey(pos[i].X/cell, pos[i].Y/cell)
-			b, ok := l.buckets[key]
-			if !ok {
-				if n := len(l.pool); n > 0 {
-					b = l.pool[n-1]
-					l.pool = l.pool[:n-1]
-				}
-				l.keys = append(l.keys, key)
-			}
-			l.buckets[key] = append(b, int32(i))
-		}
-		if r == 0 {
-			for _, key := range l.keys {
-				b := l.buckets[key]
-				for i := 1; i < len(b); i++ {
-					d.Union(int(b[0]), int(b[i]))
-				}
-			}
-		} else {
-			forward := [4][2]int32{{1, 0}, {0, 1}, {1, 1}, {-1, 1}}
-			for _, key := range l.keys {
-				b := l.buckets[key]
-				bx := int32(uint32(key >> 32))
-				by := int32(uint32(key))
-				for i := 0; i < len(b); i++ {
-					pi := pos[b[i]]
-					for j := i + 1; j < len(b); j++ {
-						if grid.ManhattanPoints(pi, pos[b[j]]) <= r {
-							d.Union(int(b[i]), int(b[j]))
-						}
-					}
-				}
-				for _, off := range forward {
-					nb, ok := l.buckets[mapBucketKey(bx+off[0], by+off[1])]
-					if !ok {
-						continue
-					}
-					for _, ai := range b {
-						pi := pos[ai]
-						for _, aj := range nb {
-							if grid.ManhattanPoints(pi, pos[aj]) <= r {
-								d.Union(int(ai), int(aj))
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-
-	rl := l.rootLabel[:k]
-	for i := range rl {
-		rl[i] = -1
-	}
-	out := l.labels[:k]
-	next := int32(0)
-	for i := 0; i < k; i++ {
-		root := d.Find(i)
-		if rl[root] < 0 {
-			rl[root] = next
-			next++
-		}
-		out[i] = rl[root]
-	}
-	return out, int(next)
-}
-
 // benchPositions places k agents uniformly on a side x side box, the
 // sparse-regime density all ablation points share (k/n = 1/64, the regime
 // where T_B = Θ̃(n/√k) is the binding bound).
@@ -177,22 +70,14 @@ func benchSide(k int) int {
 const benchRadius = 8
 
 // BenchmarkComponents is the labeller ablation grid: implementation x
-// population size at fixed sparse density. "maphash" is the retired
-// map-backed spatial hash, "csr" the flat CSR index (sequential), "csrpar"
-// the CSR index with the parallel union phase forced to 4 workers (on a
-// single-core host it measures shard overhead; on multicore hardware,
-// speedup).
+// population size at fixed sparse density. "csr" is the flat CSR index
+// (sequential), "csrpar" the CSR index with the parallel union phase forced
+// to 4 workers (on a single-core host it measures shard overhead; on
+// multicore hardware, speedup).
 func BenchmarkComponents(b *testing.B) {
 	for _, k := range []int{1000, 10000, 100000, 1000000} {
 		pos := benchPositions(k, benchSide(k))
 
-		b.Run(fmt.Sprintf("impl=maphash/k=%d", k), func(b *testing.B) {
-			l := newMapLabeller(k)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				l.components(pos, benchRadius)
-			}
-		})
 		b.Run(fmt.Sprintf("impl=csr/k=%d", k), func(b *testing.B) {
 			l := NewLabeller(k)
 			l.SetParallelism(1)
@@ -214,39 +99,40 @@ func BenchmarkComponents(b *testing.B) {
 
 // BenchmarkComponentsStepped is the incremental-kernel ablation: each op
 // advances every agent one lazy-walk step and then relabels — the exact
-// shape of an engine step loop. The rebuild generations (maphash, csr) pay
-// their full per-call cost no matter how little moved; the incremental
-// labeller (inc sequential, incpar with the recheck fanned to 4 workers)
-// pays only for dirty cells plus the frontier recheck of the cached pair
-// set. The gap here — not the static BenchmarkComponents figures, which an
-// incremental labeller would short-circuit through its clean-labels path —
-// is the design's operating speedup. Every row includes the walk.StepAll
-// cost, so the inc rows understate the pure relabel gain.
+// shape of an engine step loop. The rebuild generation (csr) pays its full
+// per-call cost no matter how little moved; the incremental kernel (inc
+// sequential, incpar with the recheck fanned to 4 workers) pays only for
+// dirty cells plus the frontier recheck of the cached pair set. The gap
+// here — not the static BenchmarkComponents figures, which an incremental
+// labeller would short-circuit through its clean-labels path — is the
+// design's operating speedup. Every row includes the walk.StepAll cost, so
+// the inc rows understate the pure relabel gain.
 //
 // Two radii are swept: r=1 is the operating regime of the standing phase
 // baseline (BENCH_phases.json runs broadcast at r=1), where the pair cache
 // is small and most steps flip nothing; r=benchRadius (8) is the saturated
 // worst case where ~every cached pair has a moved endpoint every step and
 // the pass set is rebuilt wholesale.
+//
+// The service's populations (k = 16 and 32) run at r=0 and r=1 instead,
+// where "sel" is the production selection — the all-pairs regime at these
+// sizes — against csr and the kernel it replaces there.
 func BenchmarkComponentsStepped(b *testing.B) {
-	for _, k := range []int{1000, 10000, 100000, 1000000} {
+	for _, k := range []int{16, 32, 1000, 10000, 100000, 1000000} {
 		side := benchSide(k)
 		g := grid.MustNew(side)
-		impls := []struct {
+		type impl struct {
 			name string
 			mk   func(r int) (func(pos []grid.Point), *Incremental)
-		}{
-			// steponly times walk.StepAll with no relabel at all: the
-			// motion floor every other row includes. Subtracting it from a
-			// labelled row gives that labeller's net per-step cost, which
-			// is what the ≥2x acceptance ratio against the static csr
-			// record is computed from (see BENCH_visibility.json notes).
+		}
+		// steponly times walk.StepAll with no relabel at all: the motion
+		// floor every other row includes. Subtracting it from a labelled
+		// row gives that labeller's net per-step cost, which is what the
+		// ≥2x acceptance ratio against the static csr record is computed
+		// from (see BENCH_visibility.json notes).
+		impls := []impl{
 			{"steponly", func(r int) (func([]grid.Point), *Incremental) {
 				return func(pos []grid.Point) {}, nil
-			}},
-			{"maphash", func(r int) (func([]grid.Point), *Incremental) {
-				l := newMapLabeller(k)
-				return func(pos []grid.Point) { l.components(pos, r) }, nil
 			}},
 			{"csr", func(r int) (func([]grid.Point), *Incremental) {
 				l := NewLabeller(k)
@@ -256,15 +142,26 @@ func BenchmarkComponentsStepped(b *testing.B) {
 			{"inc", func(r int) (func([]grid.Point), *Incremental) {
 				l := NewIncremental(k)
 				l.SetParallelism(1)
-				return func(pos []grid.Point) { l.Components(pos, r) }, l
-			}},
-			{"incpar", func(r int) (func([]grid.Point), *Incremental) {
-				l := NewIncremental(k)
-				l.SetParallelism(4)
+				l.kernelOnly = true
 				return func(pos []grid.Point) { l.Components(pos, r) }, l
 			}},
 		}
-		for _, r := range []int{1, benchRadius} {
+		radii := []int{1, benchRadius}
+		if k <= allPairsK {
+			radii = []int{0, 1}
+			impls = append(impls, impl{"sel", func(r int) (func([]grid.Point), *Incremental) {
+				l := NewIncremental(k)
+				l.SetParallelism(1)
+				return func(pos []grid.Point) { l.Components(pos, r) }, nil
+			}})
+		} else {
+			impls = append(impls, impl{"incpar", func(r int) (func([]grid.Point), *Incremental) {
+				l := NewIncremental(k)
+				l.SetParallelism(4)
+				return func(pos []grid.Point) { l.Components(pos, r) }, l
+			}})
+		}
+		for _, r := range radii {
 			for _, im := range impls {
 				b.Run(fmt.Sprintf("impl=%s/k=%d/r=%d", im.name, k, r), func(b *testing.B) {
 					pos := benchPositions(k, side)
@@ -333,7 +230,7 @@ func BenchmarkAblationBruteForceK1024(b *testing.B) {
 	}
 }
 
-// TestAblationBaselinesAgree pins all five implementations to each other at
+// TestAblationBaselinesAgree pins all four implementations to each other at
 // bench parameters: identical labels, not just partitions. Every
 // implementation assigns labels by first appearance in agent-index order —
 // a function of the partition alone — so label slices must match exactly
@@ -343,7 +240,6 @@ func BenchmarkAblationBruteForceK1024(b *testing.B) {
 func TestAblationBaselinesAgree(t *testing.T) {
 	t.Parallel()
 	pos := benchPositions(256, 128)
-	legacy := newMapLabeller(256)
 	csr := NewLabeller(256)
 	csr.SetParallelism(1)
 	par := NewLabeller(256)
@@ -352,8 +248,6 @@ func TestAblationBaselinesAgree(t *testing.T) {
 	inc.SetParallelism(1)
 	slow := newBruteLabeller(256)
 	for _, r := range []int{0, 4, 8, 16} {
-		ml, mc := legacy.components(pos, r)
-		mlCopy := append([]int32(nil), ml...)
 		cl, cc := csr.Components(pos, r)
 		clCopy := append([]int32(nil), cl...)
 		pl, pc := par.Components(pos, r)
@@ -361,13 +255,13 @@ func TestAblationBaselinesAgree(t *testing.T) {
 		il, ic := inc.Components(pos, r)
 		ilCopy := append([]int32(nil), il...)
 		sl, sc := slow.components(pos, r)
-		if mc != cc || cc != pc || pc != ic || ic != sc {
-			t.Fatalf("r=%d: counts differ map=%d csr=%d par=%d inc=%d brute=%d", r, mc, cc, pc, ic, sc)
+		if cc != pc || pc != ic || ic != sc {
+			t.Fatalf("r=%d: counts differ csr=%d par=%d inc=%d brute=%d", r, cc, pc, ic, sc)
 		}
 		for i := range clCopy {
-			if clCopy[i] != mlCopy[i] || clCopy[i] != plCopy[i] || clCopy[i] != ilCopy[i] || clCopy[i] != sl[i] {
-				t.Fatalf("r=%d: labels differ at %d: map=%d csr=%d par=%d inc=%d brute=%d",
-					r, i, mlCopy[i], clCopy[i], plCopy[i], ilCopy[i], sl[i])
+			if clCopy[i] != plCopy[i] || clCopy[i] != ilCopy[i] || clCopy[i] != sl[i] {
+				t.Fatalf("r=%d: labels differ at %d: csr=%d par=%d inc=%d brute=%d",
+					r, i, clCopy[i], plCopy[i], ilCopy[i], sl[i])
 			}
 		}
 	}

@@ -1,9 +1,11 @@
 package visibility
 
 // Differential harness for the incremental connectivity kernel: the
-// incremental path (sequential and parallel) must produce labels and
-// informed bitsets byte-identical to the retained full-rebuild path, every
-// step, across all five mobility models and the paper-relevant radii. It
+// incremental path (sequential and parallel) and the production selection
+// (all pairs up to allPairsK agents, the kernel above) must produce labels
+// and informed bitsets byte-identical to the retained full-rebuild path,
+// every step, across all five mobility models, the paper-relevant radii and
+// populations on both sides of the all-pairs threshold. It
 // extends the crosscheck property test (which pins the full path against
 // the O(k²) brute force) one level up the stack: brute force proves the
 // reference, this harness proves the kernel against the reference, and
@@ -131,116 +133,148 @@ func newDiffVariant(name string, k, par int, fullRebuild bool) *diffVariant {
 	return v
 }
 
-func TestDifferentialIncrementalVsFullRebuild(t *testing.T) {
-	t.Parallel()
-	const side, k, steps = 48, 150, 256
-	g := grid.MustNew(side)
-	// A short looping trace wraps twice within the run, teleporting every
-	// agent back to its recorded start mid-stream.
-	models := []mobility.Model{
+// kernelVariant is newDiffVariant on the incremental kernel at every
+// population, the all-pairs regime switched off.
+func kernelVariant(name string, k, par int) *diffVariant {
+	v := newDiffVariant(name, k, par, false)
+	v.x.kernelOnly = true
+	return v
+}
+
+// diffModels returns the five mobility models the differential harness
+// drives on g with k agents. The short looping trace wraps twice within a
+// run, teleporting every agent back to its recorded start mid-stream.
+func diffModels(t *testing.T, g *grid.Grid, k int) []mobility.Model {
+	return []mobility.Model{
 		mobility.LazyWalk{},
 		mobility.RandomWaypoint{Pause: 1},
 		mobility.LevyFlight{},
 		mobility.Ballistic{},
 		mobility.TraceReplay{Trace: recordModelTrace(t, g, k, 100, 1789), Loop: true},
 	}
-	for _, m := range models {
+}
+
+func TestDifferentialIncrementalVsFullRebuild(t *testing.T) {
+	t.Parallel()
+	// k = 8 and 32 sit inside the all-pairs regime, k = 150 above it; each
+	// population gets an arena of comparable density.
+	sizes := []struct{ k, side int }{{8, 16}, {32, 24}, {150, 48}}
+	grids := make([]*grid.Grid, len(sizes))
+	models := make([][]mobility.Model, len(sizes))
+	for si, sz := range sizes {
+		grids[si] = grid.MustNew(sz.side)
+		models[si] = diffModels(t, grids[si], sz.k)
+	}
+	for mi, m := range models[0] {
 		t.Run(m.Name(), func(t *testing.T) {
 			t.Parallel()
-			st, err := m.Bind(g, k, rng.New(20110601))
-			if err != nil {
-				t.Fatal(err)
-			}
-			pos := make([]grid.Point, k)
-			st.Place(pos)
-			churnSrc := rng.New(9899)
-
-			type radiusSet struct {
-				r        int
-				ref      *diffVariant // retained full-rebuild path
-				variants []*diffVariant
-			}
-			sets := make([]*radiusSet, len(crossCheckRadii))
-			for ri, r := range crossCheckRadii {
-				sets[ri] = &radiusSet{
-					r:   r,
-					ref: newDiffVariant("full", k, 1, true),
-					variants: []*diffVariant{
-						newDiffVariant("inc-seq", k, 1, false),
-						newDiffVariant("inc-par", k, 3, false),
-					},
-				}
-			}
-
-			refLabels := make([]int32, k)
-			for s := 0; s <= steps; s++ {
-				if s > 0 {
-					st.Step(pos)
-					if s == 85 || s == 170 {
-						// Mid-run churn: scatter an eighth of the agents to
-						// fresh uniform positions, stressing budget blowout
-						// and dirty-cell surgery in one step.
-						for c := 0; c < k/8; c++ {
-							i := churnSrc.Intn(k)
-							pos[i] = grid.Point{X: int32(churnSrc.Intn(side)), Y: int32(churnSrc.Intn(side))}
-						}
-					}
-				}
-				for _, rs := range sets {
-					wl, wc := rs.ref.x.Components(pos, rs.r)
-					copy(refLabels, wl)
-					for _, v := range rs.variants {
-						gl, gc := v.x.Components(pos, rs.r)
-						if gc != wc {
-							t.Fatalf("t=%d r=%d %s: count %d, full %d", s, rs.r, v.name, gc, wc)
-						}
-						for i := 0; i < k; i++ {
-							if gl[i] != refLabels[i] {
-								t.Fatalf("t=%d r=%d %s agent %d: label %d, full %d",
-									s, rs.r, v.name, i, gl[i], refLabels[i])
-							}
-						}
-						if err := v.x.checkInternalState(pos); err != nil {
-							t.Fatalf("t=%d r=%d %s: internal state: %v", s, rs.r, v.name, err)
-						}
-					}
-					// Spot-check the reference itself against brute force at
-					// a coarse cadence (the crosscheck test owns the dense
-					// version of this assertion).
-					if s%64 == 0 {
-						bl, bc := bruteComponents(pos, rs.r)
-						if bc != wc {
-							t.Fatalf("t=%d r=%d: full count %d, brute %d", s, rs.r, wc, bc)
-						}
-						for i := range bl {
-							if int(refLabels[i]) != bl[i] {
-								t.Fatalf("t=%d r=%d agent %d: full label %d, brute %d",
-									s, rs.r, i, refLabels[i], bl[i])
-							}
-						}
-					}
-					// Informed-set differential: flood every variant and
-					// require byte-identical growth.
-					rs.ref.newly = rs.ref.x.Flood(pos, rs.r, rs.ref.informed, rs.ref.newly[:0])
-					for _, v := range rs.variants {
-						v.newly = v.x.Flood(pos, rs.r, v.informed, v.newly[:0])
-						if len(v.newly) != len(rs.ref.newly) {
-							t.Fatalf("t=%d r=%d %s: %d newly informed, full %d",
-								s, rs.r, v.name, len(v.newly), len(rs.ref.newly))
-						}
-						for i := range v.newly {
-							if v.newly[i] != rs.ref.newly[i] {
-								t.Fatalf("t=%d r=%d %s: newly[%d]=%d, full %d",
-									s, rs.r, v.name, i, v.newly[i], rs.ref.newly[i])
-							}
-						}
-						if !v.informed.Equal(rs.ref.informed) {
-							t.Fatalf("t=%d r=%d %s: informed set diverged from full path", s, rs.r, v.name)
-						}
-					}
-				}
+			for si, sz := range sizes {
+				t.Run(fmt.Sprintf("k=%d", sz.k), func(t *testing.T) {
+					runDifferential(t, models[si][mi], grids[si], sz.k, 256)
+				})
 			}
 		})
+	}
+}
+
+// runDifferential drives one model for steps steps and compares the kernel
+// (sequential and parallel) and the production selection against the
+// full-rebuild reference at every radius, every step.
+func runDifferential(t *testing.T, m mobility.Model, g *grid.Grid, k, steps int) {
+	st, err := m.Bind(g, k, rng.New(20110601))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := make([]grid.Point, k)
+	st.Place(pos)
+	churnSrc := rng.New(9899)
+	side := g.Side()
+
+	type radiusSet struct {
+		r        int
+		ref      *diffVariant // retained full-rebuild path
+		variants []*diffVariant
+	}
+	sets := make([]*radiusSet, len(crossCheckRadii))
+	for ri, r := range crossCheckRadii {
+		sets[ri] = &radiusSet{
+			r:   r,
+			ref: newDiffVariant("full", k, 1, true),
+			variants: []*diffVariant{
+				kernelVariant("inc-seq", k, 1),
+				kernelVariant("inc-par", k, 3),
+				newDiffVariant("selected", k, 1, false),
+			},
+		}
+	}
+
+	refLabels := make([]int32, k)
+	for s := 0; s <= steps; s++ {
+		if s > 0 {
+			st.Step(pos)
+			if s == 85 || s == 170 {
+				// Mid-run churn: scatter an eighth of the agents (at least
+				// one) to fresh uniform positions, stressing budget blowout
+				// and dirty-cell surgery in one step.
+				for c := 0; c < max(k/8, 1); c++ {
+					i := churnSrc.Intn(k)
+					pos[i] = grid.Point{X: int32(churnSrc.Intn(side)), Y: int32(churnSrc.Intn(side))}
+				}
+			}
+		}
+		for _, rs := range sets {
+			wl, wc := rs.ref.x.Components(pos, rs.r)
+			copy(refLabels, wl)
+			for _, v := range rs.variants {
+				gl, gc := v.x.Components(pos, rs.r)
+				if gc != wc {
+					t.Fatalf("t=%d r=%d %s: count %d, full %d", s, rs.r, v.name, gc, wc)
+				}
+				for i := 0; i < k; i++ {
+					if gl[i] != refLabels[i] {
+						t.Fatalf("t=%d r=%d %s agent %d: label %d, full %d",
+							s, rs.r, v.name, i, gl[i], refLabels[i])
+					}
+				}
+				if err := v.x.checkInternalState(pos); err != nil {
+					t.Fatalf("t=%d r=%d %s: internal state: %v", s, rs.r, v.name, err)
+				}
+			}
+			// Spot-check the reference itself against brute force at a
+			// coarse cadence (the crosscheck test owns the dense version of
+			// this assertion).
+			if s%64 == 0 {
+				bl, bc := bruteComponents(pos, rs.r)
+				if bc != wc {
+					t.Fatalf("t=%d r=%d: full count %d, brute %d", s, rs.r, wc, bc)
+				}
+				for i := range bl {
+					if int(refLabels[i]) != bl[i] {
+						t.Fatalf("t=%d r=%d agent %d: full label %d, brute %d",
+							s, rs.r, i, refLabels[i], bl[i])
+					}
+				}
+			}
+			// Informed-set differential: flood every variant and require
+			// byte-identical growth.
+			rs.ref.newly = rs.ref.x.Flood(pos, rs.r, rs.ref.informed, rs.ref.newly[:0])
+			for _, v := range rs.variants {
+				v.newly = v.x.Flood(pos, rs.r, v.informed, v.newly[:0])
+				if len(v.newly) != len(rs.ref.newly) {
+					t.Fatalf("t=%d r=%d %s: %d newly informed, full %d",
+						s, rs.r, v.name, len(v.newly), len(rs.ref.newly))
+				}
+				for i := range v.newly {
+					if v.newly[i] != rs.ref.newly[i] {
+						t.Fatalf("t=%d r=%d %s: newly[%d]=%d, full %d",
+							s, rs.r, v.name, i, v.newly[i], rs.ref.newly[i])
+					}
+				}
+				if !v.informed.Equal(rs.ref.informed) {
+					t.Fatalf("t=%d r=%d %s: informed set diverged from full path", s, rs.r, v.name)
+				}
+			}
+		}
 	}
 }
 

@@ -3,8 +3,11 @@ package visibility
 // Native fuzz targets for the incremental connectivity kernel. Both decode
 // a raw byte stream into a deterministic scenario — agent count, radius,
 // initial layout, and a sequence of per-step move deltas or teleports —
-// then drive the incremental kernel against the from-scratch reference and
-// the white-box invariant oracle.
+// then drive two labellers against the from-scratch reference and the
+// white-box invariant oracle: the incremental kernel at every population
+// (the scenarios decode k in [2, 41], mostly inside the all-pairs regime,
+// so the kernel variant is pinned to the kernel), and the production
+// selection, which checks every pair up to allPairsK agents.
 //
 //   FuzzIncrementalIndex   random move deltas (smooth drift, teleports,
 //                          window escapes) vs a from-scratch rebuild:
@@ -88,16 +91,23 @@ func applyFuzzMoves(fr *fuzzReader, pos []grid.Point) {
 	}
 }
 
+// fuzzVariants returns the two labellers each fuzz step checks against the
+// full-rebuild reference: the kernel pinned on at every k, and the
+// production selection.
+func fuzzVariants(k int) []*diffVariant {
+	return []*diffVariant{kernelVariant("kernel", k, 1), newDiffVariant("selected", k, 1, false)}
+}
+
 // requireSameLabels compares an incremental result against the
 // from-scratch reference byte for byte.
-func requireSameLabels(t *testing.T, step int, gotL []int32, gotC int, wantL []int32, wantC int) {
+func requireSameLabels(t *testing.T, step int, name string, gotL []int32, gotC int, wantL []int32, wantC int) {
 	t.Helper()
 	if gotC != wantC {
-		t.Fatalf("step %d: count %d, reference %d", step, gotC, wantC)
+		t.Fatalf("step %d %s: count %d, reference %d", step, name, gotC, wantC)
 	}
 	for i := range wantL {
 		if gotL[i] != wantL[i] {
-			t.Fatalf("step %d agent %d: label %d, reference %d", step, i, gotL[i], wantL[i])
+			t.Fatalf("step %d %s agent %d: label %d, reference %d", step, name, i, gotL[i], wantL[i])
 		}
 	}
 }
@@ -113,7 +123,7 @@ func FuzzIncrementalIndex(f *testing.F) {
 		fr := &fuzzReader{data: data}
 		pos, r := fuzzScenario(fr)
 		k := len(pos)
-		inc := NewIncremental(k)
+		vs := fuzzVariants(k)
 		ref := NewIncremental(k)
 		ref.SetFullRebuild(true)
 		refLabels := make([]int32, k)
@@ -124,10 +134,12 @@ func FuzzIncrementalIndex(f *testing.F) {
 			}
 			wl, wc := ref.Components(pos, r)
 			copy(refLabels, wl)
-			gl, gc := inc.Components(pos, r)
-			requireSameLabels(t, s, gl, gc, refLabels, wc)
-			if err := inc.checkInternalState(pos); err != nil {
-				t.Fatalf("step %d: %v", s, err)
+			for _, v := range vs {
+				gl, gc := v.x.Components(pos, r)
+				requireSameLabels(t, s, v.name, gl, gc, refLabels, wc)
+				if err := v.x.checkInternalState(pos); err != nil {
+					t.Fatalf("step %d %s: %v", s, v.name, err)
+				}
 			}
 		}
 	})
@@ -146,13 +158,16 @@ func FuzzFrontierRelabel(f *testing.F) {
 		fr := &fuzzReader{data: data}
 		pos, r := fuzzScenario(fr)
 		k := len(pos)
-		inc := NewIncremental(k)
+		vs := fuzzVariants(k)
 		ref := NewIncremental(k)
 		ref.SetFullRebuild(true)
-		incInf, refInf := bitset.New(k), bitset.New(k)
+		refInf := bitset.New(k)
 		src := fr.int(k)
-		incInf.Add(src)
 		refInf.Add(src)
+		for _, v := range vs {
+			v.informed.Clear()
+			v.informed.Add(src)
+		}
 		refLabels := make([]int32, k)
 		steps := 2 + fr.int(12)
 		for s := 0; s < steps; s++ {
@@ -169,23 +184,27 @@ func FuzzFrontierRelabel(f *testing.F) {
 			}
 			wl, wc := ref.Components(pos, r)
 			copy(refLabels, wl)
-			gl, gc := inc.Components(pos, r)
-			requireSameLabels(t, s, gl, gc, refLabels, wc)
-			if err := inc.checkInternalState(pos); err != nil {
-				t.Fatalf("step %d: %v", s, err)
-			}
-			refNew := ref.Flood(pos, r, refInf, nil)
-			incNew := inc.Flood(pos, r, incInf, nil)
-			if len(refNew) != len(incNew) {
-				t.Fatalf("step %d: %d newly informed, reference %d", s, len(incNew), len(refNew))
-			}
-			for i := range refNew {
-				if refNew[i] != incNew[i] {
-					t.Fatalf("step %d: newly[%d]=%d, reference %d", s, i, incNew[i], refNew[i])
+			for _, v := range vs {
+				gl, gc := v.x.Components(pos, r)
+				requireSameLabels(t, s, v.name, gl, gc, refLabels, wc)
+				if err := v.x.checkInternalState(pos); err != nil {
+					t.Fatalf("step %d %s: %v", s, v.name, err)
 				}
 			}
-			if !incInf.Equal(refInf) {
-				t.Fatalf("step %d: informed set diverged", s)
+			refNew := ref.Flood(pos, r, refInf, nil)
+			for _, v := range vs {
+				v.newly = v.x.Flood(pos, r, v.informed, v.newly[:0])
+				if len(refNew) != len(v.newly) {
+					t.Fatalf("step %d %s: %d newly informed, reference %d", s, v.name, len(v.newly), len(refNew))
+				}
+				for i := range refNew {
+					if refNew[i] != v.newly[i] {
+						t.Fatalf("step %d %s: newly[%d]=%d, reference %d", s, v.name, i, v.newly[i], refNew[i])
+					}
+				}
+				if !v.informed.Equal(refInf) {
+					t.Fatalf("step %d %s: informed set diverged", s, v.name)
+				}
 			}
 		}
 	})

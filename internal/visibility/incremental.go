@@ -44,6 +44,16 @@ func padFor(r, k int) int {
 	return p
 }
 
+// allPairsK is the largest population the small-population regime serves:
+// at k <= allPairsK, Components and Flood reset the forest and union every
+// pair at exact distance <= r, bypassing the bucket index, the padded pair
+// cache and the frontier recheck, whose bookkeeping costs more than
+// k(k-1)/2 distance checks at this size. The value is a measured crossover
+// on profiled broadcast replicates (DESIGN.md §14): all pairs won at k = 32
+// at every density and radius tried, was mixed at k = 48–64 and lost at
+// every radius from k = 96.
+const allPairsK = 32
+
 // Incremental is a drop-in component labeller that maintains its spatial
 // index and candidate-pair structure across steps instead of rebuilding
 // them from scratch: under bounded per-step motion (the paper's lazy walk
@@ -77,6 +87,9 @@ func padFor(r, k int) int {
 //     and the cached labels are returned wholesale, skipping the label
 //     pass; the spread fast path (Flood) similarly returns nothing.
 //
+// Populations of at most allPairsK agents skip all three: each call checks
+// every pair afresh, which at that size is cheaper than keeping the index.
+//
 // Results are bit-for-bit identical to Labeller: every edge decision is an
 // exact distance comparison, and the dense label pass assigns labels by
 // first appearance in agent index order — a function of the partition
@@ -90,6 +103,11 @@ func padFor(r, k int) int {
 type Incremental struct {
 	full     *Labeller
 	fullMode bool
+
+	// kernelOnly keeps populations of at most allPairsK agents on the
+	// incremental kernel instead of the all-pairs regime, so in-package
+	// tests can drive the kernel at small k.
+	kernelOnly bool
 
 	k     int
 	r     int
@@ -190,7 +208,8 @@ func (x *Incremental) SetParallelism(p int) {
 // inside the fixed phase vocabulary: move application, cell surgery and
 // slab relayouts lap into prof.Index; pair rescans, frontier rechecks,
 // unions and the label pass lap into prof.Label; Flood work lands in the
-// caller's spread lap. A nil profile keeps every lap a branch.
+// caller's spread lap. The all-pairs regime laps prof.Label only. A nil
+// profile keeps every lap a branch.
 func (x *Incremental) SetProfile(p *prof.StepProfile) {
 	x.prof = p
 	x.full.SetProfile(p)
@@ -258,7 +277,9 @@ func (x *Incremental) workers() int {
 // Positions may change arbitrarily between calls — the kernel derives the
 // moved set itself by comparing against its retained previous positions,
 // so callers never report motion and cannot misreport it. Bounded motion
-// is a performance regime, not a correctness requirement.
+// is a performance regime, not a correctness requirement. Populations of
+// at most allPairsK agents are labelled from every pair instead, with one
+// label lap and no index lap.
 func (x *Incremental) Components(pos []grid.Point, r int) (labels []int32, count int) {
 	if x.fullMode {
 		return x.full.Components(pos, r)
@@ -279,6 +300,12 @@ func (x *Incremental) Components(pos []grid.Point, r int) (labels []int32, count
 		x.prof.Lap(prof.Label)
 		return out, k
 	}
+	if x.allPairs(k) {
+		x.unionAllPairs(pos, r)
+		count = x.dsu.DenseLabels(x.labels[:k], x.rootLabel[:k])
+		x.prof.Lap(prof.Label)
+		return x.labels[:k], count
+	}
 	x.step(pos, r)
 	if !x.labelsClean {
 		x.labelPass()
@@ -293,7 +320,8 @@ func (x *Incremental) Components(pos []grid.Point, r int) (labels []int32, count
 // (ascending), and the extended slice returned. The spread works directly
 // on union-find roots — component labels are never materialised — and when
 // the partition and the informed set are both unchanged since the last
-// Flood, it returns immediately.
+// Flood, it returns immediately. Populations of at most allPairsK agents
+// union every pair afresh and always take the full sweep.
 //
 // Equivalent by construction to labelling plus a component flood (which is
 // exactly what it does in full-rebuild mode, via FloodWithLabels); the
@@ -314,7 +342,11 @@ func (x *Incremental) Flood(pos []grid.Point, r int, informed *bitset.Set, newly
 		x.prof.Lap(prof.Label)
 		return newly
 	}
-	x.step(pos, r)
+	if x.allPairs(k) {
+		x.unionAllPairs(pos, r)
+	} else {
+		x.step(pos, r)
+	}
 	x.prof.Lap(prof.Label)
 	if x.floodClean && informed == x.lastInformed && informed.Len() == x.lastInformedLen {
 		return newly
@@ -383,6 +415,32 @@ func (x *Incremental) Flood(pos []grid.Point, r int, informed *bitset.Set, newly
 	x.lastInformed = informed
 	x.lastInformedLen = informed.Len()
 	return newly
+}
+
+// allPairs reports whether a population of k agents takes the all-pairs
+// regime rather than the incremental kernel.
+func (x *Incremental) allPairs(k int) bool {
+	return k <= allPairsK && !x.kernelOnly
+}
+
+// unionAllPairs resets the forest and unions every pair of agents at exact
+// distance <= r. The kernel state stops tracking positions, so it is marked
+// invalid, and Flood's fast paths are disarmed: no flips were recorded, so
+// Flood runs its full sweep.
+func (x *Incremental) unionAllPairs(pos []grid.Point, r int) {
+	x.valid = false
+	x.floodClean = false
+	x.sweepAll = true
+	d := x.dsu
+	d.Reset()
+	for i := 1; i < len(pos); i++ {
+		pi := pos[i]
+		for j, pj := range pos[:i] {
+			if grid.ManhattanPoints(pi, pj) <= r {
+				d.Union(i, j)
+			}
+		}
+	}
 }
 
 // FloodWithLabels spreads an informed set through an existing labelling

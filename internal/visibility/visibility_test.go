@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mobilenet/internal/bitset"
 	"mobilenet/internal/grid"
 	"mobilenet/internal/rng"
 	"mobilenet/internal/walk"
@@ -333,6 +334,30 @@ func TestComponentsSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("%v allocs per stepped incremental call, want 0", allocs)
+	}
+
+	// So does the all-pairs regime at a fleet-sized population, for
+	// Components and for Flood, whose full sweep runs every call.
+	small := pos[:16]
+	allPairs := NewIncremental(len(small))
+	informed := bitset.New(len(small))
+	informed.Add(0)
+	newly := make([]int32, 0, len(small))
+	for _, r := range []int{0, 1, 8} {
+		allocs := testing.AllocsPerRun(20, func() {
+			walk.StepAll(g, small, buf, walkSrc)
+			allPairs.Components(small, r)
+		})
+		if allocs != 0 {
+			t.Errorf("r=%d: %v allocs per all-pairs Components call, want 0", r, allocs)
+		}
+		allocs = testing.AllocsPerRun(20, func() {
+			walk.StepAll(g, small, buf, walkSrc)
+			newly = allPairs.Flood(small, r, informed, newly[:0])
+		})
+		if allocs != 0 {
+			t.Errorf("r=%d: %v allocs per all-pairs Flood call, want 0", r, allocs)
+		}
 	}
 }
 

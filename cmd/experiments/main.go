@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"mobilenet/internal/experiments"
@@ -86,40 +85,13 @@ func run(args []string) error {
 			failures++
 		}
 		if *outDir != "" {
-			if err := writeArtifacts(*outDir, res); err != nil {
+			if err := res.WriteArtifacts(*outDir); err != nil {
 				return err
 			}
 		}
 	}
 	if failures > 0 {
 		return fmt.Errorf("%d experiment(s) returned FAIL verdicts", failures)
-	}
-	return nil
-}
-
-func writeArtifacts(dir string, res *experiments.Result) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for i, table := range res.Tables {
-		name := filepath.Join(dir, fmt.Sprintf("%s_table%d.csv", strings.ToLower(res.ID), i+1))
-		f, err := os.Create(name)
-		if err != nil {
-			return err
-		}
-		if err := table.WriteCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	for i, fig := range res.Figures {
-		name := filepath.Join(dir, fmt.Sprintf("%s_fig%d.svg", strings.ToLower(res.ID), i+1))
-		if err := os.WriteFile(name, []byte(fig.SVG(640, 480)), 0o644); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -86,7 +86,7 @@ func run(args []string) error {
 		reps     = fs.Int("reps", 1, "replicates (position-derived seeds; prints the mean)")
 		maxSteps = fs.Int("max-steps", 0, "cap the run at this many steps (0 = engine's theory-derived default)")
 		curve    = fs.Bool("curve", false, "print the informed-count curve (broadcast only)")
-		observe  = fs.String("observe", "", "comma-separated per-step observables to record: informed|components|largest_component|coverage|meeting")
+		observe  = fs.String("observe", "", "comma-separated per-step observables to record: informed|components|largest_component|coverage|frontier|meeting")
 		obsEvery = fs.Int("observe-every", 0, "observation cadence in steps (0 = every step; needs -observe)")
 		obsMax   = fs.Int("observe-max", 0, "max recorded series points per replicate, stride doubling past it (0 = uncapped; needs -observe)")
 		series   = fs.String("series-out", "", "write the aggregated series: '-' = NDJSON to stdout, a .csv/.json path = table export")

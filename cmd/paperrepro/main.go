@@ -35,7 +35,7 @@ func run(args []string) error {
 		reps   = fs.Int("reps", 0, "replicates per point (0 = defaults)")
 		seed   = fs.Uint64("seed", 1, "master seed")
 		quiet  = fs.Bool("q", false, "suppress progress logging")
-		ext    = fs.Bool("ext", true, "also run the extension suite X1-X3")
+		ext    = fs.Bool("ext", true, "also run the extension suite X1-X8")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -77,7 +77,7 @@ func run(args []string) error {
 		if err := res.WriteMarkdown(report); err != nil {
 			return err
 		}
-		if err := writeArtifacts(*outDir, res); err != nil {
+		if err := res.WriteArtifacts(*outDir); err != nil {
 			return err
 		}
 		line := fmt.Sprintf("%-4s %-4s %-45s (%.1fs)", res.ID, res.Verdict, e.Title, time.Since(start).Seconds())
@@ -96,29 +96,5 @@ func run(args []string) error {
 		return fmt.Errorf("%d experiment(s) FAILED", failures)
 	}
 	fmt.Printf("\nreport written to %s\n", filepath.Join(*outDir, "report.md"))
-	return nil
-}
-
-func writeArtifacts(dir string, res *experiments.Result) error {
-	for i, table := range res.Tables {
-		name := filepath.Join(dir, fmt.Sprintf("%s_table%d.csv", strings.ToLower(res.ID), i+1))
-		f, err := os.Create(name)
-		if err != nil {
-			return err
-		}
-		if err := table.WriteCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	for i, fig := range res.Figures {
-		name := filepath.Join(dir, fmt.Sprintf("%s_fig%d.svg", strings.ToLower(res.ID), i+1))
-		if err := os.WriteFile(name, []byte(fig.SVG(640, 480)), 0o644); err != nil {
-			return err
-		}
-	}
 	return nil
 }

@@ -99,8 +99,8 @@
 //
 //   - cmd/mobisim — single-run and sweep CLI (specs, tracing, profiling)
 //   - cmd/mobiserved — the HTTP simulation service (runs + sweep batches)
-//   - cmd/mobibench — closed-loop load generator for the service
-//     (BENCH_load.json baseline)
+//   - cmd/mobibench — closed-loop load generator for the service (the
+//     load-, chaos- and fleet-smoke CI driver)
 //   - cmd/experiments, cmd/paperrepro — the E1–E17/X1–X8 validation suite
 //   - cmd/percmap, cmd/tracecat — percolation maps, trace inspection
 //   - cmd/doccheck — CI gate for godoc coverage and Markdown links

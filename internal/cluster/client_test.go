@@ -83,10 +83,11 @@ func recordedWorkerWith(t *testing.T, cfg simserve.Config, intercept func(s *sim
 // cache, so every point makes the hop.
 func executor(t *testing.T, workers ...string) *Executor {
 	t.Helper()
-	e, err := New(Config{Workers: workers, RetryBase: time.Millisecond, RetryCap: 4 * time.Millisecond})
+	e, err := New(Config{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.sleep = fastRetry
 	return e
 }
 

@@ -3,7 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"net/http"
 	"sync"
 	"time"
@@ -22,16 +22,7 @@ type Config struct {
 	// flight. Tests point it at httptest servers.
 	HTTPClient *http.Client
 
-	// Attempts bounds tries per worker before failing over to the next in
-	// the point's rendezvous order; 0 selects 4. Backoff between attempts
-	// is capped exponential with jitter: RetryBase (0 selects 5ms) doubling
-	// to RetryCap (0 selects 200ms) — the service's established retry
-	// conventions.
-	Attempts  int
-	RetryBase time.Duration
-	RetryCap  time.Duration
-
-	// DownFor is how long a worker that exhausted its attempts is skipped
+	// DownFor is how long a worker that exhausted its Attempts is skipped
 	// before being tried again; 0 selects 5s. The health probe loop
 	// (ProbeLoop) clears the mark early when the worker answers /healthz.
 	DownFor time.Duration
@@ -57,15 +48,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Attempts <= 0 {
-		c.Attempts = 4
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 5 * time.Millisecond
-	}
-	if c.RetryCap <= 0 {
-		c.RetryCap = 200 * time.Millisecond
-	}
 	if c.DownFor <= 0 {
 		c.DownFor = 5 * time.Second
 	}
@@ -95,7 +77,6 @@ type Executor struct {
 	downUntil []time.Time // per worker; zero = up
 	inflight  map[string]*flight
 
-	rng   *rand.Rand // jitter source, guarded by mu
 	now   func() time.Time
 	sleep func(time.Duration)
 }
@@ -120,7 +101,6 @@ func New(cfg Config) (*Executor, error) {
 		clients:   make([]*Client, len(cfg.Workers)),
 		downUntil: make([]time.Time, len(cfg.Workers)),
 		inflight:  make(map[string]*flight),
-		rng:       rand.New(rand.NewSource(time.Now().UnixNano())),
 		now:       time.Now,
 		sleep:     time.Sleep,
 	}
@@ -190,11 +170,11 @@ func (e *Executor) execute(p sweep.Point, hop Hop, progress simserve.PointProgre
 }
 
 // dispatch walks the point's failover chain: its rendezvous-ranked
-// workers, each tried Attempts times with jittered capped-exponential
-// backoff. A worker that exhausts its attempts is marked down (skipped by
-// other points until DownFor elapses or the probe loop clears it) and the
-// point re-routes to the next in its chain — the counter hook fires once
-// per such failover. Permanent errors (the point itself is bad) surface
+// workers, each tried under the retry policy (Attempts tries, Backoff
+// between them). A worker that exhausts its attempts is marked down
+// (skipped by other points until DownFor elapses or the probe loop clears
+// it) and the point re-routes to the next in its chain — the counter hook
+// fires once per such failover. Permanent errors (the point itself is bad) surface
 // immediately: no other worker would answer differently.
 func (e *Executor) dispatch(p sweep.Point, hop Hop, progress simserve.PointProgress) ([]byte, bool, error) {
 	started := false
@@ -257,12 +237,12 @@ func (e *Executor) dispatch(p sweep.Point, hop Hop, progress simserve.PointProgr
 	return nil, false, fmt.Errorf("cluster: every worker failed for point %s: %w", p.Hash, lastErr)
 }
 
-// tryWorker runs the point on one worker with the bounded-retry backoff.
+// tryWorker runs the point on one worker under the retry policy.
 func (e *Executor) tryWorker(wi int, p sweep.Point, hop Hop, start func(), cancelled func() bool) ([]byte, bool, error) {
 	var lastErr error
-	for attempt := 0; attempt < e.cfg.Attempts; attempt++ {
+	for attempt := 0; attempt < Attempts; attempt++ {
 		if attempt > 0 {
-			e.sleep(e.backoff(attempt))
+			e.sleep(Backoff(attempt))
 			if cancelled() {
 				return nil, false, errPermanent{errSweepCancelled}
 			}
@@ -280,17 +260,26 @@ func (e *Executor) tryWorker(wi int, p sweep.Point, hop Hop, start func(), cance
 	return nil, false, lastErr
 }
 
-// backoff returns the jittered delay before retry attempt n (n >= 1):
-// base·2^(n-1) capped, then d/2 + rand(d) — the service's retry shape.
-func (e *Executor) backoff(n int) time.Duration {
-	d := e.cfg.RetryBase << (n - 1)
-	if d > e.cfg.RetryCap || d <= 0 {
-		d = e.cfg.RetryCap
+// Attempts is how many times the retry policy tries one piece of work: a
+// point on one worker for the executor, a request for mobibench's chaos
+// workload.
+const Attempts = 4
+
+// The retry policy's backoff: 5 ms doubling per retry, capped at 200 ms.
+const (
+	retryBase = 5 * time.Millisecond
+	retryCap  = 200 * time.Millisecond
+)
+
+// Backoff returns the retry policy's delay before retry attempt n
+// (n >= 1): retryBase·2^(n-1) capped at retryCap, jittered uniformly over
+// [d/2, 3d/2) so that retrying clients do not resubmit in lockstep.
+func Backoff(n int) time.Duration {
+	d := retryBase << (n - 1)
+	if d > retryCap || d <= 0 {
+		d = retryCap
 	}
-	e.mu.Lock()
-	j := time.Duration(e.rng.Int63n(int64(d)))
-	e.mu.Unlock()
-	return d/2 + j
+	return d/2 + time.Duration(rand.Int64N(int64(d)))
 }
 
 func (e *Executor) isDown(wi int) bool {

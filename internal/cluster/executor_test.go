@@ -45,6 +45,27 @@ func testSweep() sweep.Spec {
 
 func i64(v int64) *int64 { return &v }
 
+// TestBackoffPolicy pins the retry policy's shape: the delay before retry
+// n is jittered over [d/2, 3d/2) around d = 5 ms · 2^(n-1), capped at
+// 200 ms.
+func TestBackoffPolicy(t *testing.T) {
+	t.Parallel()
+	for n, d := range map[int]time.Duration{
+		1: 5 * time.Millisecond, 2: 10 * time.Millisecond, 3: 20 * time.Millisecond,
+		6: 160 * time.Millisecond, 7: 200 * time.Millisecond, 80: 200 * time.Millisecond,
+	} {
+		for i := 0; i < 200; i++ {
+			if got := Backoff(n); got < d/2 || got >= d+d/2 {
+				t.Fatalf("Backoff(%d) = %v, want in [%v, %v)", n, got, d/2, d+d/2)
+			}
+		}
+	}
+}
+
+// fastRetry stubs the executor's sleep seam: the retry policy's delays,
+// five times shorter, so that test fleets fail over in milliseconds.
+func fastRetry(d time.Duration) { time.Sleep(d / 5) }
+
 // coordinator builds a coordinator server whose sweeps shard across the
 // given worker addresses, wired exactly as cmd/mobiserved wires it:
 // executor lookups probe the coordinator's cache, fetched payloads
@@ -53,8 +74,7 @@ func coordinator(t *testing.T, workers []string, tweak func(*Config)) (*simserve
 	t.Helper()
 	var coord *simserve.Server
 	ccfg := Config{
-		Workers:   workers,
-		RetryBase: time.Millisecond, RetryCap: 4 * time.Millisecond,
+		Workers: workers,
 		DownFor: 50 * time.Millisecond,
 		Lookup:  func(hash string) ([]byte, bool) { return coord.Result(hash) },
 		Persist: func(hash string, payload []byte) { coord.PutResult(hash, payload) },
@@ -66,6 +86,7 @@ func coordinator(t *testing.T, workers []string, tweak func(*Config)) (*simserve
 	if err != nil {
 		t.Fatal(err)
 	}
+	exec.sleep = fastRetry
 	coord = simserve.New(simserve.Config{Workers: 2, Executor: exec})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -215,7 +236,6 @@ func TestWorkerKillReroute(t *testing.T) {
 	_, w2 := testWorker(t, simserve.Config{Workers: 2})
 	var rerouted atomic.Uint64
 	coord, _ := coordinator(t, []string{w1.URL, w2.URL}, func(c *Config) {
-		c.Attempts = 2
 		c.OnReroute = func(string) { rerouted.Add(1) }
 	})
 

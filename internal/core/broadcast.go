@@ -29,10 +29,9 @@ type Broadcast struct {
 	src      int
 
 	area      *bitset.Set // informed area I(t); nil unless tracked
-	frontierX int32
+	frontierX int32       // rightmost x of the informed area; -1 untracked
 
-	curve    []int
-	frontier []int32
+	curve []int
 
 	cells      *cellTracker // Theorem 1 tessellation bookkeeping; nil when off
 	sourceCell int
@@ -74,7 +73,7 @@ func NewBroadcast(cfg Config) (*Broadcast, error) {
 		b.src = src.Intn(cfg.K)
 	}
 	b.informed.Add(b.src)
-	if cfg.measuresCoverage() {
+	if cfg.TrackInformedArea {
 		b.area = bitset.New(cfg.Grid.N())
 	}
 	if cfg.CellSide > 0 {
@@ -161,13 +160,8 @@ func (b *Broadcast) exchange(moved []int32, movedOK bool) {
 	// below fall to the driver's observe lap; the curves end at T_B, so the
 	// coverage continuation appends nothing.
 	b.cfg.Profile.Lap(prof.Spread)
-	if b.informedStep < 0 || b.informedStep == b.pop.Time() {
-		if b.cfg.RecordCurve {
-			b.curve = append(b.curve, b.informed.Len())
-		}
-		if b.cfg.RecordFrontier {
-			b.frontier = append(b.frontier, b.frontierX)
-		}
+	if b.cfg.RecordCurve && (b.informedStep < 0 || b.informedStep == b.pop.Time()) {
+		b.curve = append(b.curve, b.informed.Len())
 	}
 }
 
@@ -204,24 +198,25 @@ func (b *Broadcast) Step() {
 }
 
 // Done reports whether the run is over: every agent is informed and, when
-// the run measures the coverage time T_C (Config.TrackInformedArea or
-// RecordFrontier), the informed area covers the grid. That continuation
-// past full dissemination is keyed on the config flags alone: the coverage
-// observable tracks the area too, but never changes when a run ends.
+// the run measures the coverage time T_C (Config.TrackInformedArea), the
+// informed area covers the grid. That continuation past full dissemination
+// is keyed on the config flag alone: the coverage and frontier observables
+// track the area too, but never change when a run ends.
 func (b *Broadcast) Done() bool {
-	return b.informedStep >= 0 && (b.coverageStep >= 0 || !b.cfg.measuresCoverage())
+	return b.informedStep >= 0 && (b.coverageStep >= 0 || !b.cfg.TrackInformedArea)
 }
 
 // Sample returns the current step's observables. The component observables
-// label G_t(r) on demand, only when rec requests them. The coverage
-// observable tracks the informed area from time 0 — the driver samples time
-// 0 before the first step — even when the run does not measure T_C.
+// label G_t(r) on demand, only when rec requests them. The coverage and
+// frontier observables track the informed area from time 0 — the driver
+// samples time 0 before the first step — even when the run does not
+// measure T_C.
 func (b *Broadcast) Sample(rec *obs.Recorder) obs.Sample {
-	if b.area == nil && rec.NeedsCoverage() && b.pop.Time() == 0 {
+	if b.area == nil && b.pop.Time() == 0 && (rec.NeedsCoverage() || rec.Needs(obs.Frontier)) {
 		b.area = bitset.New(b.pop.Grid().N())
 		b.sweepArea()
 	}
-	s := obs.Sample{Informed: b.informed.Len(), Nodes: b.pop.Grid().N()}
+	s := obs.Sample{Informed: b.informed.Len(), Nodes: b.pop.Grid().N(), Frontier: int(b.frontierX)}
 	if b.area != nil {
 		s.Covered = b.area.Len()
 	}
@@ -260,10 +255,6 @@ func (b *Broadcast) InformedArea() int {
 	return b.area.Len()
 }
 
-// FrontierX returns the rightmost x-coordinate of the informed area, or -1
-// when area tracking is disabled.
-func (b *Broadcast) FrontierX() int32 { return b.frontierX }
-
 // BroadcastResult summarises a completed (or capped) broadcast run.
 type BroadcastResult struct {
 	// Steps is the broadcast time T_B: the first time step at which every
@@ -276,10 +267,6 @@ type BroadcastResult struct {
 	// InformedCurve holds the informed count after each step from t=0 up to
 	// Steps (present only with Config.RecordCurve).
 	InformedCurve []int
-	// FrontierTrace holds the rightmost informed-area x-coordinate after
-	// each step from t=0 up to Steps (present only with
-	// Config.RecordFrontier).
-	FrontierTrace []int32
 	// CoverageSteps is T_C, the first time the informed area covers every
 	// grid node; -1 if not reached or not tracked.
 	CoverageSteps int
@@ -294,13 +281,12 @@ func (b *Broadcast) Result() BroadcastResult {
 		Completed:     b.informedStep >= 0,
 		Source:        b.src,
 		InformedCurve: b.curve,
-		FrontierTrace: b.frontier,
 		CoverageSteps: -1,
 	}
 	if res.Completed {
 		res.Steps = b.informedStep
 	}
-	if b.cfg.measuresCoverage() {
+	if b.cfg.TrackInformedArea {
 		res.CoverageSteps = b.coverageStep
 	}
 	return res

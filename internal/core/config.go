@@ -53,16 +53,14 @@ type Config struct {
 	Parallelism int
 
 	// TrackInformedArea enables the informed-area bitset I(t): the set of
-	// grid nodes visited by informed agents. Required for frontier and
-	// coverage measurements; costs one bitset write per informed agent step.
-	// It also measures the coverage time T_C: the broadcast runs on past
-	// full dissemination until I(t) covers the grid (see Broadcast.Done).
+	// grid nodes visited by informed agents, at one bitset write per
+	// informed agent step. It measures the coverage time T_C: the broadcast
+	// runs on past full dissemination until I(t) covers the grid (see
+	// Broadcast.Done). The coverage and frontier observables track the
+	// area without it and never extend the run.
 	TrackInformedArea bool
 	// RecordCurve records the number of informed agents after every step.
 	RecordCurve bool
-	// RecordFrontier records the rightmost informed-area x-coordinate after
-	// every step (implies TrackInformedArea).
-	RecordFrontier bool
 	// CellSide, when positive, tessellates the grid into CellSide-sided
 	// cells and records the first time an informed agent enters each cell —
 	// the bookkeeping of the paper's Theorem 1 proof (cells of side
@@ -120,11 +118,6 @@ func (c *Config) validate() error {
 	}
 	return nil
 }
-
-// measuresCoverage reports whether a broadcast measures the coverage time
-// T_C, which tracks the informed area and continues the run past full
-// dissemination until the area covers the grid.
-func (c *Config) measuresCoverage() bool { return c.TrackInformedArea || c.RecordFrontier }
 
 // newLabeller builds the engine's incremental component labeller with the
 // configured parallelism and profiler applied.

@@ -171,27 +171,35 @@ func TestBroadcastDeterministicBySeed(t *testing.T) {
 	}
 }
 
+// TestBroadcastFrontierMonotone reads the frontier observable at every:1
+// through the driver: one sample per step up to T_B, never retreating,
+// and at r = 0 advancing by at most 1 per step (agents move at speed 1,
+// and a newly informed agent shares its node with an informed one).
 func TestBroadcastFrontierMonotone(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig(12, 8, 0, 17)
-	cfg.RecordFrontier = true
-	res, err := RunBroadcast(cfg)
+	b, err := NewBroadcast(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.FrontierTrace) == 0 {
-		t.Fatal("no frontier trace")
+	rec := obs.NewRecorder(obs.Spec{Observables: []string{obs.Frontier}, Every: 1})
+	res := step.Run(b, step.Hooks{Cap: cfg.StepCap(), Observe: rec})
+	if !res.Completed {
+		t.Fatal("broadcast incomplete")
 	}
-	for i := 1; i < len(res.FrontierTrace); i++ {
-		if res.FrontierTrace[i] < res.FrontierTrace[i-1] {
+	frontier := rec.Series().Values[obs.Frontier]
+	if len(frontier) != res.Steps+1 {
+		t.Fatalf("%d frontier samples for %d steps", len(frontier), res.Steps)
+	}
+	if frontier[0] < 0 {
+		t.Fatalf("frontier %v at time 0: the source's node is informed", frontier[0])
+	}
+	for i := 1; i < len(frontier); i++ {
+		if frontier[i] < frontier[i-1] {
 			t.Fatalf("frontier retreated at step %d", i)
 		}
-	}
-	// Frontier advances by at most 1 per step (agents move at speed 1).
-	for i := 1; i < len(res.FrontierTrace); i++ {
-		if res.FrontierTrace[i]-res.FrontierTrace[i-1] > 1 {
-			t.Fatalf("frontier jumped by %d at step %d",
-				res.FrontierTrace[i]-res.FrontierTrace[i-1], i)
+		if frontier[i]-frontier[i-1] > 1 {
+			t.Fatalf("frontier jumped by %v at step %d", frontier[i]-frontier[i-1], i)
 		}
 	}
 }

@@ -31,12 +31,7 @@ func expE01() Experiment {
 		}
 		n := g.N()
 		reps := p.reps(12)
-		var ks []int
-		for _, k := range []int{8, 16, 32, 64, 128, 256, 512} {
-			if 2*k <= n { // stay in the paper's sparse regime n >= 2k
-				ks = append(ks, k)
-			}
-		}
+		ks := sparseKs(n, 8, 16, 32, 64, 128, 256, 512)
 
 		sp := sweep.Spec{
 			Label: fmt.Sprintf("E1: T_B vs k (n=%d, r=0)", n),
@@ -45,7 +40,7 @@ func expE01() Experiment {
 			Axes: []sweep.Axis{{Field: "agents", Values: intValues(ks)}},
 			Fit:  "agents",
 		}
-		swres, pts, err := runScenarioSweep(p, "E1", sp, true)
+		swres, pts, err := runScenarioSweep(p, "E1", sp, true, repSteps)
 		if err != nil {
 			return nil, err
 		}

@@ -50,7 +50,7 @@ func expE02() Experiment {
 			Axes: []sweep.Axis{{Field: "nodes", Values: intValues(ns)}},
 			Fit:  "nodes",
 		}
-		swres, pts, err := runScenarioSweep(p, "E2", sp, true)
+		swres, pts, err := runScenarioSweep(p, "E2", sp, true, repSteps)
 		if err != nil {
 			return nil, err
 		}

@@ -55,7 +55,7 @@ func expE03() Experiment {
 				Seed: p.Seed, Source: 0, Reps: reps},
 			Axes: []sweep.Axis{{Field: "radius", Values: intValues(radii)}},
 		}
-		_, pts, err := runScenarioSweep(p, "E3", sp, true)
+		_, pts, err := runScenarioSweep(p, "E3", sp, true, repSteps)
 		if err != nil {
 			return nil, err
 		}

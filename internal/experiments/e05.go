@@ -5,19 +5,24 @@ import (
 	"math"
 
 	"mobilenet/internal/grid"
-	"mobilenet/internal/percolation"
+	"mobilenet/internal/obs"
+	"mobilenet/internal/scenario"
+	"mobilenet/internal/sweep"
 	"mobilenet/internal/tableio"
 	"mobilenet/internal/theory"
 	"mobilenet/internal/visibility"
 )
 
-// expE05 validates Lemma 6's island bound. The paper's island parameter
-// gamma = sqrt(n/(4 e^6 k)) is below one grid unit at laptop scale (the e^6
-// makes it asymptotic), so in addition to the literal gamma (which floors
-// to radius 0) the experiment probes the same structural claim at the
-// larger radii r_c/4 and r_c/2: any component at a radius a constant
-// fraction below r_c must stay logarithmic in size throughout the run.
-// This substitution is recorded in DESIGN.md §2.
+// expE05 validates Lemma 6's island bound. An island of parameter gamma is
+// a connected component of G_t(gamma), so a broadcast run at radius gamma
+// that observes largest_component every step records the largest island
+// of every step of the run, which is the horizon the lemma bounds. The
+// paper's gamma = sqrt(n/(4 e^6 k)) is below one grid unit at laptop scale
+// (the e^6 makes it asymptotic), so in addition to the literal gamma
+// (which floors to radius 0) the experiment probes the same structural
+// claim at the larger radii r_c/4 and r_c/2: any component at a radius a
+// constant fraction below r_c must stay logarithmic in size throughout the
+// run. This substitution is recorded in DESIGN.md §5.
 func expE05() Experiment {
 	e := Experiment{
 		ID:    "E5",
@@ -26,57 +31,72 @@ func expE05() Experiment {
 	}
 	e.Run = func(p Params) (*Result, error) {
 		res := e.newResult()
-		side := p.scaledSide(128)
-		g, err := grid.New(side)
+		g, err := grid.New(p.scaledSide(128))
 		if err != nil {
 			return nil, err
 		}
 		n := g.N()
-		steps := p.scaledCount(40000, 2000)
+		reps := p.reps(2)
 		logN := math.Log(float64(n))
 
-		table := tableio.NewTable(
-			fmt.Sprintf("Max island size over %d steps, n=%d", steps, n),
-			"k", "radius", "radius meaning", "max island", "log n", "max/log n")
-
-		verdict := VerdictPass
-		ks := []int{64, 256}
-		pi := 0
-		for _, k := range ks {
-			if 2*k > n {
-				continue
-			}
+		// Three probes per k, zipped: the literal gamma, r_c/4 and r_c/2.
+		var agents, radii []int
+		var labels []string
+		for _, k := range sparseKs(n, 64, 256) {
 			gamma := theory.IslandGamma(n, k)
 			rc := theory.PercolationRadius(n, k)
-			probes := []struct {
-				radius int
-				label  string
-			}{
-				{visibility.FloorRadius(gamma), fmt.Sprintf("gamma=%.2f (paper)", gamma)},
-				{int(rc / 4), "r_c/4"},
-				{int(rc / 2), "r_c/2"},
+			agents = append(agents, k, k, k)
+			radii = append(radii, visibility.FloorRadius(gamma), int(rc/4), int(rc/2))
+			labels = append(labels, fmt.Sprintf("gamma=%.2f (paper)", gamma), "r_c/4", "r_c/2")
+		}
+		sp := sweep.Spec{
+			Label: fmt.Sprintf("E5: largest island over the broadcast run (n=%d)", n),
+			Base: scenario.Spec{Engine: scenario.EngineBroadcast, Nodes: n, Agents: agents[0],
+				Seed: p.Seed, Source: 0, Reps: reps,
+				Observe: &obs.Spec{Observables: []string{obs.Largest}, Every: 1}},
+			Axes: []sweep.Axis{
+				{Field: "agents", Values: intValues(agents)},
+				{Field: "radius", Values: intValues(radii)},
+			},
+			Mode: sweep.ModeZip,
+		}
+		// A replicate's value is the largest island of its whole run.
+		swres, pts, err := runScenarioSweep(p, "E5", sp, true, func(r scenario.Rep) (float64, error) {
+			largest := 0.0
+			for _, v := range r.Series.Values[obs.Largest] {
+				largest = math.Max(largest, v)
 			}
-			for _, probe := range probes {
-				maxIsland, err := percolation.MaxIslandOverTime(g, k, probe.radius, steps, repSeed(p.Seed, pi, 0))
-				if err != nil {
-					return nil, err
-				}
-				ratio := float64(maxIsland) / logN
-				table.AddRow(k, probe.radius, probe.label, maxIsland, logN, ratio)
-				p.logf("E5: k=%d r=%d max island=%d (%.2f log n)", k, probe.radius, maxIsland, ratio)
-				// Generous finite-size ceiling: 3 log n. Exceeding it at
-				// radii ≤ r_c/2 contradicts the logarithmic-islands regime.
-				if ratio > 3 {
-					verdict = worstVerdict(verdict, VerdictWarn)
-				}
-				if ratio > 6 {
-					verdict = worstVerdict(verdict, VerdictFail)
-				}
-				pi++
+			return largest, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+
+		table := tableio.NewTable(
+			fmt.Sprintf("Max island size over the broadcast run, n=%d, %d reps", n, reps),
+			"k", "radius", "radius meaning", "observed steps", "max island", "log n", "max/log n")
+		verdict := VerdictPass
+		for i, pt := range pts {
+			observed := 0
+			for _, rep := range swres.Points[i].Result.Reps {
+				observed += len(rep.Series.Steps)
+			}
+			maxIsland := int(pt.Sum.Max)
+			ratio := pt.Sum.Max / logN
+			table.AddRow(agents[i], radii[i], labels[i], observed, maxIsland, logN, ratio)
+			p.logf("E5: k=%d r=%d max island=%d (%.2f log n) over %d observed steps", agents[i], radii[i], maxIsland, ratio, observed)
+			// Generous finite-size ceiling: 3 log n. Exceeding it at
+			// radii ≤ r_c/2 contradicts the logarithmic-islands regime.
+			if ratio > 3 {
+				verdict = worstVerdict(verdict, VerdictWarn)
+			}
+			if ratio > 6 {
+				verdict = worstVerdict(verdict, VerdictFail)
 			}
 		}
 		res.Tables = append(res.Tables, table)
 		res.Verdict = verdict
+		res.AddFinding("observed steps count every step of every replicate's broadcast run (t = 0 to T_B), the horizon over which Lemma 6 bounds islands")
 		res.AddFinding("gamma < 1 grid unit at this scale (the paper's 4e^6 constant is asymptotic); structural probes at r_c/4 and r_c/2 stand in — see DESIGN.md")
 		return res, nil
 	}

@@ -37,7 +37,7 @@ func expE06() Experiment {
 		}
 		// Not meeting within the horizon is a legitimate trial outcome,
 		// so capped replicates must NOT be errors here.
-		swres, _, err := runScenarioSweep(p, "E6", sp, false)
+		swres, _, err := runScenarioSweep(p, "E6", sp, false, repSteps)
 		if err != nil {
 			return nil, err
 		}

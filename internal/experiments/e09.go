@@ -4,15 +4,17 @@ import (
 	"fmt"
 	"math"
 
-	"mobilenet/internal/core"
 	"mobilenet/internal/grid"
 	"mobilenet/internal/plot"
+	"mobilenet/internal/scenario"
+	"mobilenet/internal/sweep"
 	"mobilenet/internal/tableio"
 )
 
 // expE09 validates Corollary 2: the gossip time (every agent learns every
 // one of the k initial rumors) obeys the same Θ̃(n/√k) bound as broadcast.
-// Broadcast and gossip runs share seeds, so the ratio T_G/T_B isolates the
+// One sweep crosses the agent counts with the two engines; both engines of
+// a k share the replicate seeds, so the ratio T_G/T_B isolates the
 // multi-rumor overhead, which must stay polylogarithmic.
 func expE09() Experiment {
 	e := Experiment{
@@ -22,62 +24,44 @@ func expE09() Experiment {
 	}
 	e.Run = func(p Params) (*Result, error) {
 		res := e.newResult()
-		side := p.scaledSide(64)
-		g, err := grid.New(side)
+		g, err := grid.New(p.scaledSide(64))
 		if err != nil {
 			return nil, err
 		}
 		n := g.N()
 		reps := p.reps(8)
-		ks := []int{16, 32, 64, 128}
+		ks := sparseKs(n, 16, 32, 64, 128)
+
+		sp := sweep.Spec{
+			Label: fmt.Sprintf("E9: T_G and T_B vs k (n=%d, r=0)", n),
+			Base: scenario.Spec{Engine: scenario.EngineBroadcast, Nodes: n, Agents: ks[0],
+				Radius: 0, Seed: p.Seed, Source: 0, Reps: reps},
+			Axes: []sweep.Axis{
+				{Field: "agents", Values: intValues(ks)},
+				{Field: "engine", Values: []any{scenario.EngineBroadcast, scenario.EngineGossip}},
+			},
+		}
+		_, pts, err := runScenarioSweep(p, "E9", sp, true, repSteps)
+		if err != nil {
+			return nil, err
+		}
+		bcastPts, gossipPts := pairs(pts)
 
 		table := tableio.NewTable(
 			fmt.Sprintf("Gossip vs broadcast, n=%d, r=0, %d reps", n, reps),
 			"k", "median T_B", "median T_G", "T_G/T_B")
-		var gossipPts, bcastPts []pointSummary
 		verdict := VerdictPass
 		polylogBand := math.Log2(float64(n)) * math.Log2(float64(n))
-		for pi, k := range ks {
-			if 2*k > n {
-				continue
-			}
-			k := k
-			bc, err := sweepPoint(p.Seed, pi, reps, float64(k), func(seed uint64) (float64, error) {
-				r, err := core.RunBroadcast(core.Config{Grid: g, K: k, Radius: 0, Seed: seed, Source: 0})
-				if err != nil {
-					return 0, err
-				}
-				if !r.Completed {
-					return 0, fmt.Errorf("E9: broadcast k=%d hit cap", k)
-				}
-				return float64(r.Steps), nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			go_, err := sweepPoint(p.Seed, pi, reps, float64(k), func(seed uint64) (float64, error) {
-				r, err := core.RunGossip(core.Config{Grid: g, K: k, Radius: 0, Seed: seed})
-				if err != nil {
-					return 0, err
-				}
-				if !r.Completed {
-					return 0, fmt.Errorf("E9: gossip k=%d hit cap", k)
-				}
-				return float64(r.Steps), nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			ratio := go_.Sum.Median / math.Max(1, bc.Sum.Median)
-			table.AddRow(k, bc.Sum.Median, go_.Sum.Median, ratio)
-			bcastPts = append(bcastPts, bc)
-			gossipPts = append(gossipPts, go_)
+		for i, k := range ks {
+			bc, gs := bcastPts[i], gossipPts[i]
+			ratio := gs.Sum.Median / math.Max(1, bc.Sum.Median)
+			table.AddRow(k, bc.Sum.Median, gs.Sum.Median, ratio)
 			if ratio > polylogBand {
 				verdict = worstVerdict(verdict, VerdictFail)
 			} else if ratio > polylogBand/4 {
 				verdict = worstVerdict(verdict, VerdictWarn)
 			}
-			p.logf("E9: k=%d T_B=%.0f T_G=%.0f ratio=%.2f", k, bc.Sum.Median, go_.Sum.Median, ratio)
+			p.logf("E9: k=%d T_B=%.0f T_G=%.0f ratio=%.2f", k, bc.Sum.Median, gs.Sum.Median, ratio)
 		}
 		res.Tables = append(res.Tables, table)
 

@@ -3,16 +3,17 @@ package experiments
 import (
 	"fmt"
 
-	"mobilenet/internal/core"
-	"mobilenet/internal/frog"
 	"mobilenet/internal/grid"
 	"mobilenet/internal/plot"
+	"mobilenet/internal/scenario"
+	"mobilenet/internal/sweep"
 	"mobilenet/internal/tableio"
 )
 
 // expE10 validates the paper's Section 4 claim that the Frog model (only
 // informed agents move) obeys the same Θ̃(n/√k) broadcast bound, and
-// contrasts it with the fully dynamic model at identical parameters.
+// contrasts it with the fully dynamic model at identical parameters: one
+// sweep crosses the agent counts with the frog and broadcast engines.
 func expE10() Experiment {
 	e := Experiment{
 		ID:    "E10",
@@ -21,53 +22,35 @@ func expE10() Experiment {
 	}
 	e.Run = func(p Params) (*Result, error) {
 		res := e.newResult()
-		side := p.scaledSide(96)
-		g, err := grid.New(side)
+		g, err := grid.New(p.scaledSide(96))
 		if err != nil {
 			return nil, err
 		}
 		n := g.N()
 		reps := p.reps(8)
-		ks := []int{16, 32, 64, 128, 256}
+		ks := sparseKs(n, 16, 32, 64, 128, 256)
+
+		sp := sweep.Spec{
+			Label: fmt.Sprintf("E10: frog vs dynamic T_B vs k (n=%d, r=0)", n),
+			Base: scenario.Spec{Engine: scenario.EngineFrog, Nodes: n, Agents: ks[0],
+				Radius: 0, Seed: p.Seed, Source: 0, Reps: reps},
+			Axes: []sweep.Axis{
+				{Field: "agents", Values: intValues(ks)},
+				{Field: "engine", Values: []any{scenario.EngineFrog, scenario.EngineBroadcast}},
+			},
+		}
+		_, pts, err := runScenarioSweep(p, "E10", sp, true, repSteps)
+		if err != nil {
+			return nil, err
+		}
+		frogPts, dynPts := pairs(pts)
 
 		table := tableio.NewTable(
 			fmt.Sprintf("Frog vs dynamic broadcast, n=%d, r=0, %d reps", n, reps),
 			"k", "median frog T_B", "median dynamic T_B", "frog/dynamic")
-		var frogPts, dynPts []pointSummary
-		for pi, k := range ks {
-			if 2*k > n {
-				continue
-			}
-			k := k
-			fr, err := sweepPoint(p.Seed, pi, reps, float64(k), func(seed uint64) (float64, error) {
-				r, err := frog.RunFrog(frog.Config{Grid: g, K: k, Radius: 0, Seed: seed, Source: 0})
-				if err != nil {
-					return 0, err
-				}
-				if !r.Completed {
-					return 0, fmt.Errorf("E10: frog k=%d hit cap", k)
-				}
-				return float64(r.Steps), nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			dyn, err := sweepPoint(p.Seed, 50+pi, reps, float64(k), func(seed uint64) (float64, error) {
-				r, err := core.RunBroadcast(core.Config{Grid: g, K: k, Radius: 0, Seed: seed, Source: 0})
-				if err != nil {
-					return 0, err
-				}
-				if !r.Completed {
-					return 0, fmt.Errorf("E10: dynamic k=%d hit cap", k)
-				}
-				return float64(r.Steps), nil
-			})
-			if err != nil {
-				return nil, err
-			}
+		for i, k := range ks {
+			fr, dyn := frogPts[i], dynPts[i]
 			table.AddRow(k, fr.Sum.Median, dyn.Sum.Median, fr.Sum.Median/dyn.Sum.Median)
-			frogPts = append(frogPts, fr)
-			dynPts = append(dynPts, dyn)
 			p.logf("E10: k=%d frog=%.0f dynamic=%.0f", k, fr.Sum.Median, dyn.Sum.Median)
 		}
 		res.Tables = append(res.Tables, table)

@@ -4,15 +4,17 @@ import (
 	"fmt"
 	"math"
 
-	"mobilenet/internal/core"
 	"mobilenet/internal/grid"
 	"mobilenet/internal/plot"
+	"mobilenet/internal/scenario"
+	"mobilenet/internal/sweep"
 	"mobilenet/internal/tableio"
 )
 
 // expE11 validates the paper's Section 4 claim T_C ≈ T_B: the time for
 // informed agents to visit every grid node tracks the broadcast time within
-// polylog factors.
+// polylog factors. One broadcast sweep over k under the coverage metric
+// yields both times from every replicate.
 func expE11() Experiment {
 	e := Experiment{
 		ID:    "E11",
@@ -21,52 +23,45 @@ func expE11() Experiment {
 	}
 	e.Run = func(p Params) (*Result, error) {
 		res := e.newResult()
-		side := p.scaledSide(64)
-		g, err := grid.New(side)
+		g, err := grid.New(p.scaledSide(64))
 		if err != nil {
 			return nil, err
 		}
 		n := g.N()
 		reps := p.reps(8)
-		ks := []int{16, 32, 64, 128}
+		ks := sparseKs(n, 16, 32, 64, 128)
+
+		sp := sweep.Spec{
+			Label: fmt.Sprintf("E11: T_C and T_B vs k (n=%d, r=0)", n),
+			Base: scenario.Spec{Engine: scenario.EngineBroadcast, Nodes: n, Agents: ks[0],
+				Radius: 0, Seed: p.Seed, Source: 0, Reps: reps,
+				Metrics: []string{scenario.MetricCoverage}},
+			Axes: []sweep.Axis{{Field: "agents", Values: intValues(ks)}},
+		}
+		// A replicate that reached T_B but not T_C before the step cap is
+		// not a measurement of the claim.
+		swres, tcPts, err := runScenarioSweep(p, "E11", sp, true, func(r scenario.Rep) (float64, error) {
+			if r.CoverageSteps < 0 {
+				return 0, fmt.Errorf("coverage incomplete (T_B=%d, T_C not reached)", r.Steps)
+			}
+			return float64(r.CoverageSteps), nil
+		})
+		if err != nil {
+			return nil, err
+		}
 
 		table := tableio.NewTable(
 			fmt.Sprintf("Coverage vs broadcast, n=%d, r=0, %d reps", n, reps),
 			"k", "median T_B", "median T_C", "T_C/T_B")
-		var tcPts, tbPts []pointSummary
+		var tbPts []pointSummary
 		verdict := VerdictPass
 		polylogBand := math.Log2(float64(n)) * math.Log2(float64(n))
-		for pi, k := range ks {
-			if 2*k > n {
-				continue
-			}
-			k := k
-			// One run yields both T_B and T_C; two sweepPoint passes with
-			// identical seeds would duplicate work, so collect pairs here.
-			tbVals := make([]float64, reps)
-			tcVals := make([]float64, reps)
-			for rep := 0; rep < reps; rep++ {
-				r, err := core.RunBroadcast(core.Config{
-					Grid: g, K: k, Radius: 0,
-					Seed: repSeed(p.Seed, pi, rep), Source: 0,
-					TrackInformedArea: true,
-				})
-				if err != nil {
-					return nil, err
-				}
-				if !r.Completed || r.CoverageSteps < 0 {
-					return nil, fmt.Errorf("E11: k=%d rep=%d incomplete (T_B done=%v, T_C=%d)",
-						k, rep, r.Completed, r.CoverageSteps)
-				}
-				tbVals[rep] = float64(r.Steps)
-				tcVals[rep] = float64(r.CoverageSteps)
-			}
-			tb := summarizePoint(float64(k), tbVals)
-			tc := summarizePoint(float64(k), tcVals)
+		for i, k := range ks {
+			tb := summarizePoint(float64(k), sweep.Steps(swres.Points[i].Result))
+			tc := tcPts[i]
 			ratio := tc.Sum.Median / math.Max(1, tb.Sum.Median)
 			table.AddRow(k, tb.Sum.Median, tc.Sum.Median, ratio)
 			tbPts = append(tbPts, tb)
-			tcPts = append(tcPts, tc)
 			if ratio > polylogBand || ratio < 1/polylogBand {
 				verdict = worstVerdict(verdict, VerdictWarn)
 			}

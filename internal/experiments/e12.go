@@ -3,9 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"mobilenet/internal/coverage"
 	"mobilenet/internal/grid"
 	"mobilenet/internal/plot"
+	"mobilenet/internal/scenario"
+	"mobilenet/internal/sweep"
 	"mobilenet/internal/tableio"
 	"mobilenet/internal/theory"
 )
@@ -13,7 +14,8 @@ import (
 // expE12 validates the paper's Section 4 cover-time bound for k independent
 // random walks: O((n log^2 n)/k + n log n). The measured cover time must
 // stay under the envelope, decay like 1/k while the first term dominates,
-// and flatten toward the n log n floor for large k.
+// and flatten toward the n log n floor for large k. The measurement is one
+// sweep of the coverage engine over k.
 func expE12() Experiment {
 	e := Experiment{
 		ID:    "E12",
@@ -22,8 +24,7 @@ func expE12() Experiment {
 	}
 	e.Run = func(p Params) (*Result, error) {
 		res := e.newResult()
-		side := p.scaledSide(48)
-		g, err := grid.New(side)
+		g, err := grid.New(p.scaledSide(48))
 		if err != nil {
 			return nil, err
 		}
@@ -31,30 +32,26 @@ func expE12() Experiment {
 		reps := p.reps(8)
 		ks := []int{1, 2, 4, 8, 16, 32, 64}
 
+		sp := sweep.Spec{
+			Label: fmt.Sprintf("E12: cover time vs k (n=%d)", n),
+			Base: scenario.Spec{Engine: scenario.EngineCoverage, Nodes: n, Agents: ks[0],
+				Seed: p.Seed, Reps: reps},
+			Axes: []sweep.Axis{{Field: "agents", Values: intValues(ks)}},
+		}
+		_, pts, err := runScenarioSweep(p, "E12", sp, true, repSteps)
+		if err != nil {
+			return nil, err
+		}
+
 		table := tableio.NewTable(
 			fmt.Sprintf("Cover time, n=%d, %d reps", n, reps),
 			"k", "median cover time", "mean", "bound (n ln²n)/k + n ln n", "measured/bound")
-		var pts []pointSummary
 		bound := plot.Series{Name: "paper bound"}
 		verdict := VerdictPass
-		for pi, k := range ks {
-			k := k
-			pt, err := sweepPoint(p.Seed, pi, reps, float64(k), func(seed uint64) (float64, error) {
-				r, err := coverage.Run(coverage.Config{Grid: g, Walkers: k, Seed: seed})
-				if err != nil {
-					return 0, err
-				}
-				if !r.Completed {
-					return 0, fmt.Errorf("E12: cover k=%d hit cap", k)
-				}
-				return float64(r.Steps), nil
-			})
-			if err != nil {
-				return nil, err
-			}
+		for i, k := range ks {
+			pt := pts[i]
 			env := theory.CoverTimeBound(n, k)
 			table.AddRow(k, pt.Sum.Median, pt.Sum.Mean, env, pt.Sum.Median/env)
-			pts = append(pts, pt)
 			bound.X = append(bound.X, float64(k))
 			bound.Y = append(bound.Y, env)
 			if pt.Sum.Median > env {

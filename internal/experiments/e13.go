@@ -5,14 +5,16 @@ import (
 
 	"mobilenet/internal/grid"
 	"mobilenet/internal/plot"
-	"mobilenet/internal/predator"
+	"mobilenet/internal/scenario"
+	"mobilenet/internal/sweep"
 	"mobilenet/internal/tableio"
 	"mobilenet/internal/theory"
 )
 
 // expE13 validates the paper's Section 4 predator-prey bound: with k
 // predators (k = Ω(log n)) chasing moving preys, the extinction time is
-// O((n log²n)/k).
+// O((n log²n)/k). The measurement is one sweep of the predator engine
+// over k.
 func expE13() Experiment {
 	e := Experiment{
 		ID:    "E13",
@@ -21,8 +23,7 @@ func expE13() Experiment {
 	}
 	e.Run = func(p Params) (*Result, error) {
 		res := e.newResult()
-		side := p.scaledSide(48)
-		g, err := grid.New(side)
+		g, err := grid.New(p.scaledSide(48))
 		if err != nil {
 			return nil, err
 		}
@@ -30,32 +31,27 @@ func expE13() Experiment {
 		reps := p.reps(8)
 		ks := []int{8, 16, 32, 64, 128}
 
+		// Preys default to the predator count, m = k.
+		sp := sweep.Spec{
+			Label: fmt.Sprintf("E13: extinction time vs k (n=%d)", n),
+			Base: scenario.Spec{Engine: scenario.EnginePredator, Nodes: n, Agents: ks[0],
+				Radius: 0, Seed: p.Seed, Reps: reps},
+			Axes: []sweep.Axis{{Field: "agents", Values: intValues(ks)}},
+		}
+		_, pts, err := runScenarioSweep(p, "E13", sp, true, repSteps)
+		if err != nil {
+			return nil, err
+		}
+
 		table := tableio.NewTable(
 			fmt.Sprintf("Extinction time, n=%d, preys m=k, %d reps", n, reps),
 			"k predators", "median extinction", "mean", "bound (n ln²n)/k", "measured/bound")
-		var pts []pointSummary
 		bound := plot.Series{Name: "paper bound"}
 		verdict := VerdictPass
-		for pi, k := range ks {
-			k := k
-			pt, err := sweepPoint(p.Seed, pi, reps, float64(k), func(seed uint64) (float64, error) {
-				r, err := predator.RunExtinction(predator.Config{
-					Grid: g, Predators: k, Preys: k, Radius: 0, Seed: seed,
-				})
-				if err != nil {
-					return 0, err
-				}
-				if !r.Completed {
-					return 0, fmt.Errorf("E13: extinction k=%d hit cap", k)
-				}
-				return float64(r.Steps), nil
-			})
-			if err != nil {
-				return nil, err
-			}
+		for i, k := range ks {
+			pt := pts[i]
 			env := theory.ExtinctionBound(n, k)
 			table.AddRow(k, pt.Sum.Median, pt.Sum.Mean, env, pt.Sum.Median/env)
-			pts = append(pts, pt)
 			bound.X = append(bound.X, float64(k))
 			bound.Y = append(bound.Y, env)
 			if pt.Sum.Median > env {

@@ -3,9 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"mobilenet/internal/core"
 	"mobilenet/internal/grid"
 	"mobilenet/internal/plot"
+	"mobilenet/internal/scenario"
+	"mobilenet/internal/sweep"
 	"mobilenet/internal/tableio"
 	"mobilenet/internal/theory"
 )
@@ -13,7 +14,8 @@ import (
 // expE14 settles the disagreement the paper calls out: Wang et al. [28]
 // claimed an infection time of Θ((n log n log k)/k) — a 1/k decay — while
 // the paper proves Θ̃(n/√k). The experiment fits the measured k-exponent
-// with a confidence interval and checks which prediction survives.
+// of a broadcast sweep over k with a confidence interval and checks which
+// prediction survives.
 func expE14() Experiment {
 	e := Experiment{
 		ID:    "E14",
@@ -22,40 +24,33 @@ func expE14() Experiment {
 	}
 	e.Run = func(p Params) (*Result, error) {
 		res := e.newResult()
-		side := p.scaledSide(64)
-		g, err := grid.New(side)
+		g, err := grid.New(p.scaledSide(64))
 		if err != nil {
 			return nil, err
 		}
 		n := g.N()
 		reps := p.reps(12)
-		ks := []int{8, 16, 32, 64, 128, 256}
+		ks := sparseKs(n, 8, 16, 32, 64, 128, 256)
+
+		sp := sweep.Spec{
+			Label: fmt.Sprintf("E14: T_B vs k (n=%d, r=0)", n),
+			Base: scenario.Spec{Engine: scenario.EngineBroadcast, Nodes: n, Agents: ks[0],
+				Radius: 0, Seed: p.Seed, Source: 0, Reps: reps},
+			Axes: []sweep.Axis{{Field: "agents", Values: intValues(ks)}},
+		}
+		_, pts, err := runScenarioSweep(p, "E14", sp, true, repSteps)
+		if err != nil {
+			return nil, err
+		}
 
 		table := tableio.NewTable(
 			fmt.Sprintf("Measured vs predicted broadcast time, n=%d, %d reps", n, reps),
 			"k", "median T_B", "paper n/sqrt(k)", "Wang (n ln n ln k)/k",
 			"measured/paper", "measured/Wang")
-		var pts []pointSummary
 		paperSeries := plot.Series{Name: "paper n/sqrt(k)"}
 		wangSeries := plot.Series{Name: "Wang claim"}
-		for pi, k := range ks {
-			if 2*k > n {
-				continue
-			}
-			k := k
-			pt, err := sweepPoint(p.Seed, pi, reps, float64(k), func(seed uint64) (float64, error) {
-				r, err := core.RunBroadcast(core.Config{Grid: g, K: k, Radius: 0, Seed: seed, Source: 0})
-				if err != nil {
-					return 0, err
-				}
-				if !r.Completed {
-					return 0, fmt.Errorf("E14: broadcast k=%d hit cap", k)
-				}
-				return float64(r.Steps), nil
-			})
-			if err != nil {
-				return nil, err
-			}
+		for i, k := range ks {
+			pt := pts[i]
 			paper := theory.BroadcastScale(n, k)
 			wang := theory.WangInfectionClaim(n, k)
 			wangRatio := 0.0
@@ -63,7 +58,6 @@ func expE14() Experiment {
 				wangRatio = pt.Sum.Median / wang
 			}
 			table.AddRow(k, pt.Sum.Median, paper, wang, pt.Sum.Median/paper, wangRatio)
-			pts = append(pts, pt)
 			paperSeries.X = append(paperSeries.X, float64(k))
 			paperSeries.Y = append(paperSeries.Y, paper)
 			wangSeries.X = append(wangSeries.X, float64(k))

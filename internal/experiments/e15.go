@@ -4,18 +4,21 @@ import (
 	"fmt"
 	"math"
 
-	"mobilenet/internal/core"
 	"mobilenet/internal/grid"
+	"mobilenet/internal/obs"
 	"mobilenet/internal/plot"
+	"mobilenet/internal/scenario"
+	"mobilenet/internal/sweep"
 	"mobilenet/internal/tableio"
 )
 
 // expE15 probes Lemma 7, the engine of the lower bound: the rightmost
 // coordinate of the informed area advances diffusively, not ballistically.
 // The paper's literal window gamma²/(144 log n) degenerates below one step
-// at laptop scale (see DESIGN.md §2), so the experiment measures the
+// at laptop scale (see DESIGN.md §5), so the experiment measures the
 // maximum frontier advance over windows of W steps for growing W and
-// checks that it scales like sqrt(W)·polylog rather than W.
+// checks that it scales like sqrt(W)·polylog rather than W. The traces are
+// the frontier observable, recorded at every step of a one-point sweep.
 func expE15() Experiment {
 	e := Experiment{
 		ID:    "E15",
@@ -24,8 +27,7 @@ func expE15() Experiment {
 	}
 	e.Run = func(p Params) (*Result, error) {
 		res := e.newResult()
-		side := p.scaledSide(128)
-		g, err := grid.New(side)
+		g, err := grid.New(p.scaledSide(128))
 		if err != nil {
 			return nil, err
 		}
@@ -37,21 +39,26 @@ func expE15() Experiment {
 		reps := p.reps(6)
 		windows := []int{16, 64, 256, 1024}
 
-		// Collect frontier traces from reps broadcast runs.
-		traces := make([][]int32, 0, reps)
-		for rep := 0; rep < reps; rep++ {
-			r, err := core.RunBroadcast(core.Config{
-				Grid: g, K: k, Radius: 0,
-				Seed: repSeed(p.Seed, 0, rep), Source: 0,
-				RecordFrontier: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if len(r.FrontierTrace) == 0 {
+		// One point: reps broadcast runs, each recording the frontier at
+		// every step from t = 0 to T_B.
+		sp := sweep.Spec{
+			Label: fmt.Sprintf("E15: informed frontier (n=%d, k=%d, r=0)", n, k),
+			Base: scenario.Spec{Engine: scenario.EngineBroadcast, Nodes: n, Agents: k,
+				Radius: 0, Seed: p.Seed, Source: 0, Reps: reps,
+				Observe: &obs.Spec{Observables: []string{obs.Frontier}, Every: 1}},
+			Axes: []sweep.Axis{{Field: "agents", Values: intValues([]int{k})}},
+		}
+		swres, _, err := runScenarioSweep(p, "E15", sp, false, repSteps)
+		if err != nil {
+			return nil, err
+		}
+		var traces [][]float64
+		for _, rep := range swres.Points[0].Result.Reps {
+			tr := rep.Series.Values[obs.Frontier]
+			if len(tr) == 0 {
 				return nil, fmt.Errorf("E15: empty frontier trace")
 			}
-			traces = append(traces, r.FrontierTrace)
+			traces = append(traces, tr)
 		}
 
 		table := tableio.NewTable(
@@ -99,7 +106,7 @@ func expE15() Experiment {
 		}
 		res.Verdict = verdict
 		res.AddFinding("frontier speed per step falls as the window grows — diffusive, not ballistic, exactly as Lemma 7 requires")
-		res.AddFinding("the paper's literal window gamma²/(144 ln n) < 1 step at this n, k; the sqrt(W) envelope is the scale-appropriate reading (DESIGN.md §2)")
+		res.AddFinding("the paper's literal window gamma²/(144 ln n) < 1 step at this n, k; the sqrt(W) envelope is the scale-appropriate reading (DESIGN.md §5)")
 
 		res.Figures = append(res.Figures, plot.Figure{
 			Title:  fmt.Sprintf("E15: frontier advance scaling (n=%d, k=%d)", n, k),

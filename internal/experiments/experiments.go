@@ -1,7 +1,8 @@
 // Package experiments defines the canonical validation suite E1-E17 that
 // plays the role of the paper's evaluation section (the paper itself is
 // pure theory, so every experiment here validates one theorem, lemma or
-// corollary at finite size — see DESIGN.md §2 and §5 for the mapping).
+// corollary at finite size — see DESIGN.md §5 and EXPERIMENTS.md for the
+// mapping).
 //
 // Each experiment produces tables (the "rows the paper would report"),
 // optional figures, prose findings, and a verdict comparing the measured

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 
 	"mobilenet/internal/plot"
@@ -92,6 +94,36 @@ func (r *Result) WriteMarkdown(w io.Writer) error {
 	}
 	_, err := fmt.Fprintln(w)
 	return err
+}
+
+// WriteArtifacts writes the result's tables as CSV files and its figures
+// as SVG files into dir, creating it if needed: e3_table1.csv,
+// e3_fig1.svg and so on.
+func (r *Result) WriteArtifacts(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	id := strings.ToLower(r.ID)
+	for i, table := range r.Tables {
+		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("%s_table%d.csv", id, i+1)))
+		if err != nil {
+			return err
+		}
+		if err := table.WriteCSV(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+	}
+	for i, fig := range r.Figures {
+		name := filepath.Join(dir, fmt.Sprintf("%s_fig%d.svg", id, i+1))
+		if err := os.WriteFile(name, []byte(fig.SVG(640, 480)), 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Experiment couples an identifier with its runner.

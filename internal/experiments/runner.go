@@ -2,10 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"mobilenet/internal/rng"
+	"mobilenet/internal/sweep"
 )
 
 // repSeed derives the seed for replicate rep of a sweep point from the
@@ -17,67 +16,23 @@ func repSeed(master uint64, point, rep int) uint64 {
 }
 
 // runReps evaluates fn for reps replicates (passing each its deterministic
-// seed) with bounded parallelism and returns the per-replicate values in
-// replicate order. The first error aborts the collection: on the serial
-// path it returns immediately, and on the parallel path a done signal stops
-// the dispatch of further replicates and idles the workers (replicates
-// already inside fn finish their call; fn takes no cancellation handle).
-// When several replicates fail, the error of the lowest-numbered failed
-// replicate is returned, matching the serial path's choice.
+// seed) on the sweep subsystem's bounded pool (sweep.ForEach) and returns
+// the per-replicate values in replicate order. The first error stops the
+// dispatch of further replicates (replicates already inside fn finish
+// their call; fn takes no cancellation handle), and the error of the
+// lowest-numbered failed replicate is returned.
 func runReps(master uint64, point, reps int, fn func(seed uint64) (float64, error)) ([]float64, error) {
 	if reps <= 0 {
 		return nil, fmt.Errorf("experiments: reps must be positive, got %d", reps)
 	}
 	out := make([]float64, reps)
-	errs := make([]error, reps)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > reps {
-		workers = reps
-	}
-	if workers <= 1 {
-		for rep := 0; rep < reps; rep++ {
-			v, err := fn(repSeed(master, point, rep))
-			if err != nil {
-				return nil, err
-			}
-			out[rep] = v
-		}
-		return out, nil
-	}
-	var (
-		wg   sync.WaitGroup
-		next = make(chan int)
-		done = make(chan struct{})
-		once sync.Once
-	)
-	fail := func() { once.Do(func() { close(done) }) }
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rep := range next {
-				out[rep], errs[rep] = fn(repSeed(master, point, rep))
-				if errs[rep] != nil {
-					fail()
-					return
-				}
-			}
-		}()
-	}
-dispatch:
-	for rep := 0; rep < reps; rep++ {
-		select {
-		case next <- rep:
-		case <-done:
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := sweep.ForEach(reps, 0, func(rep int) error {
+		v, err := fn(repSeed(master, point, rep))
+		out[rep] = v
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

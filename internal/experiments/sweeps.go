@@ -50,13 +50,30 @@ func intValues(vs []int) []any {
 	return out
 }
 
+// sparseKs keeps the population sizes of the paper's sparse regime
+// n >= 2k, in order.
+func sparseKs(n int, ks ...int) []int {
+	var out []int
+	for _, k := range ks {
+		if 2*k <= n {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// repSteps reads a replicate's primary time measurement (T_B, T_G, the
+// cover or extinction time): the value most sweeps summarise.
+func repSteps(r scenario.Rep) (float64, error) { return float64(r.Steps), nil }
+
 // runScenarioSweep executes a SweepSpec through the sweep subsystem with
 // the experiment conventions: progress lines go to Params.Log, and (when
 // requireCompleted) a replicate that hits its step cap is an error rather
 // than a data point. It returns the sweep result plus each point
-// re-summarised as a pointSummary keyed by its first-axis value, the
-// shape the fit/figure helpers consume.
-func runScenarioSweep(p Params, id string, sp sweep.Spec, requireCompleted bool) (*sweep.Result, []pointSummary, error) {
+// summarised as a pointSummary keyed by its first-axis value, the shape
+// the fit/figure helpers consume; value reads the summarised measurement
+// off each replicate, and an error from it fails the experiment.
+func runScenarioSweep(p Params, id string, sp sweep.Spec, requireCompleted bool, value func(scenario.Rep) (float64, error)) (*sweep.Result, []pointSummary, error) {
 	// OnPoint fires from the sweep pool's goroutines, but Params.Log is a
 	// plain io.Writer with no concurrency contract — serialise the lines.
 	var logMu sync.Mutex
@@ -77,9 +94,26 @@ func runScenarioSweep(p Params, id string, sp sweep.Spec, requireCompleted bool)
 		if !ok {
 			return nil, nil, fmt.Errorf("%s: sweep point %d has non-numeric first axis value %v", id, i, pr.Values[0])
 		}
-		pts[i] = summarizePoint(float64(x), sweep.Steps(pr.Result))
+		vals := make([]float64, len(pr.Result.Reps))
+		for r, rep := range pr.Result.Reps {
+			if vals[r], err = value(rep); err != nil {
+				return nil, nil, fmt.Errorf("%s: point %d (%v) rep %d: %w", id, i, pr.Values, r, err)
+			}
+		}
+		pts[i] = summarizePoint(float64(x), vals)
 	}
 	return res, pts, nil
+}
+
+// pairs deals a sweep's points, in expansion order, into the first and
+// the second point of each first-axis value: the two-engine and
+// two-radius sweeps put exactly two points at every k.
+func pairs(pts []pointSummary) (first, second []pointSummary) {
+	for i := 0; i+1 < len(pts); i += 2 {
+		first = append(first, pts[i])
+		second = append(second, pts[i+1])
+	}
+	return first, second
 }
 
 // fitMedians fits a power law through the (X, median) pairs of a sweep.

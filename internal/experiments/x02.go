@@ -39,7 +39,7 @@ func expX02() Experiment {
 		// The paper's cell side l = sqrt(14 n log³n/(c3 k)) exceeds the grid
 		// at laptop scale (its constants are asymptotic); report it and use
 		// a practical side/8 tessellation for the measurement. Substitution
-		// documented in DESIGN.md §2.
+		// documented in DESIGN.md §5.
 		paperCell := theory.CellSide(n, k, theory.DefaultC3)
 		cellSide := side / 8
 		if cellSide < 2 {

@@ -6,7 +6,6 @@ import (
 	"mobilenet/internal/grid"
 	"mobilenet/internal/rng"
 	"mobilenet/internal/tableio"
-	"mobilenet/internal/visibility"
 	"mobilenet/internal/walk"
 )
 
@@ -115,9 +114,9 @@ func expX03() Experiment {
 			completed := 0
 			informedCounts := make([]float64, breps)
 			for rep := 0; rep < breps; rep++ {
-				inf, done := simpleKernelBroadcast(g, k, kernel.fn, repSeed(p.Seed, 50+bi, rep), stepCap)
+				_, inf := kernelBroadcast(g, k, kernel.fn, repSeed(p.Seed, 50+bi, rep), stepCap)
 				informedCounts[rep] = float64(inf)
-				if done {
+				if inf == k {
 					completed++
 				}
 			}
@@ -141,44 +140,4 @@ func expX03() Experiment {
 		return res, nil
 	}
 	return e
-}
-
-// simpleKernelBroadcast runs a minimal r=0 broadcast with an arbitrary step
-// kernel and returns the informed count and completion flag.
-func simpleKernelBroadcast(g *grid.Grid, k int, stepFn func(*grid.Grid, grid.Point, *rng.Source) grid.Point, seed uint64, stepCap int) (informedCount int, done bool) {
-	src := rng.New(seed)
-	pos := make([]grid.Point, k)
-	for i := range pos {
-		pos[i] = grid.Point{X: int32(src.Intn(g.Side())), Y: int32(src.Intn(g.Side()))}
-	}
-	informed := make([]bool, k)
-	informed[0] = true
-	n := 1
-	lab := visibility.NewLabeller(k)
-	exchange := func() {
-		if n == k {
-			return
-		}
-		labels, count := lab.Components(pos, 0)
-		compInf := make([]bool, count)
-		for i, inf := range informed {
-			if inf {
-				compInf[labels[i]] = true
-			}
-		}
-		for i := range informed {
-			if !informed[i] && compInf[labels[i]] {
-				informed[i] = true
-				n++
-			}
-		}
-	}
-	exchange()
-	for t := 0; t < stepCap && n < k; t++ {
-		for i := range pos {
-			pos[i] = stepFn(g, pos[i], src)
-		}
-		exchange()
-	}
-	return n, n == k
 }

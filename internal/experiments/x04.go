@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"math"
 
-	"mobilenet/internal/core"
 	"mobilenet/internal/grid"
 	"mobilenet/internal/plot"
+	"mobilenet/internal/scenario"
+	"mobilenet/internal/sweep"
 	"mobilenet/internal/tableio"
 	"mobilenet/internal/theory"
 )
@@ -15,7 +16,8 @@ import (
 // SODA 2011): above the percolation point the broadcast time is
 // polylogarithmic. For each k the sweep runs the same system at r = 0
 // (subcritical baseline, Θ̃(n/√k)) and at r = 1.5 r_c(n, k) (supercritical),
-// showing the regime separation side by side.
+// zipping the agents and radius axes two points per k, and shows the
+// regime separation side by side.
 func expX04() Experiment {
 	e := Experiment{
 		ID:    "X4",
@@ -24,14 +26,36 @@ func expX04() Experiment {
 	}
 	e.Run = func(p Params) (*Result, error) {
 		res := e.newResult()
-		side := p.scaledSide(128)
-		g, err := grid.New(side)
+		g, err := grid.New(p.scaledSide(128))
 		if err != nil {
 			return nil, err
 		}
 		n := g.N()
 		reps := p.reps(8)
-		ks := []int{16, 64, 256}
+		ks := sparseKs(n, 16, 64, 256)
+
+		// Two points per k, zipped: r = 0, then r_sup = ceil(1.5 r_c(n, k)).
+		var agents, radii []int
+		for _, k := range ks {
+			rSup := int(math.Ceil(1.5 * theory.PercolationRadius(n, k)))
+			agents = append(agents, k, k)
+			radii = append(radii, 0, rSup)
+		}
+		sp := sweep.Spec{
+			Label: fmt.Sprintf("X4: T_B at r=0 and r=1.5r_c vs k (n=%d)", n),
+			Base: scenario.Spec{Engine: scenario.EngineBroadcast, Nodes: n, Agents: ks[0],
+				Seed: p.Seed, Source: 0, Reps: reps},
+			Axes: []sweep.Axis{
+				{Field: "agents", Values: intValues(agents)},
+				{Field: "radius", Values: intValues(radii)},
+			},
+			Mode: sweep.ModeZip,
+		}
+		_, pts, err := runScenarioSweep(p, "X4", sp, true, repSteps)
+		if err != nil {
+			return nil, err
+		}
+		basePts, fastPts := pairs(pts)
 
 		polylog := math.Log2(float64(n)) * math.Log2(float64(n))
 		table := tableio.NewTable(
@@ -40,39 +64,10 @@ func expX04() Experiment {
 		sub := plot.Series{Name: "r=0 (subcritical)"}
 		sup := plot.Series{Name: "r=1.5rc (supercritical)"}
 		verdict := VerdictPass
-		for pi, k := range ks {
-			if 2*k > n {
-				continue
-			}
-			k := k
+		for i, k := range ks {
+			base, fast := basePts[i], fastPts[i]
 			rc := theory.PercolationRadius(n, k)
-			rSup := int(math.Ceil(1.5 * rc))
-			base, err := sweepPoint(p.Seed, pi, reps, float64(k), func(seed uint64) (float64, error) {
-				r, err := core.RunBroadcast(core.Config{Grid: g, K: k, Radius: 0, Seed: seed, Source: 0})
-				if err != nil {
-					return 0, err
-				}
-				if !r.Completed {
-					return 0, fmt.Errorf("X4: subcritical k=%d hit cap", k)
-				}
-				return float64(r.Steps), nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			fast, err := sweepPoint(p.Seed, 40+pi, reps, float64(k), func(seed uint64) (float64, error) {
-				r, err := core.RunBroadcast(core.Config{Grid: g, K: k, Radius: rSup, Seed: seed, Source: 0})
-				if err != nil {
-					return 0, err
-				}
-				if !r.Completed {
-					return 0, fmt.Errorf("X4: supercritical k=%d hit cap", k)
-				}
-				return float64(r.Steps), nil
-			})
-			if err != nil {
-				return nil, err
-			}
+			rSup := radii[2*i+1]
 			collapse := (fast.Sum.Median + 1) / (base.Sum.Median + 1)
 			normalised := fast.Sum.Median / polylog
 			table.AddRow(k, rc, rSup, base.Sum.Median, fast.Sum.Median, collapse, normalised)

@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"math"
 
-	"mobilenet/internal/core"
 	"mobilenet/internal/grid"
 	"mobilenet/internal/plot"
+	"mobilenet/internal/scenario"
+	"mobilenet/internal/sweep"
 	"mobilenet/internal/tableio"
 )
 
@@ -15,6 +16,7 @@ import (
 // classical all-to-all (|M| = k). Since T_G(|M|) is the maximum of |M|
 // dependent broadcast-like completions, it should grow only sub-
 // logarithmically with |M| — all within the Θ̃(n/√k) class of Corollary 2.
+// The measurement is one gossip sweep over the rumor count.
 func expX05() Experiment {
 	e := Experiment{
 		ID:    "X5",
@@ -23,8 +25,7 @@ func expX05() Experiment {
 	}
 	e.Run = func(p Params) (*Result, error) {
 		res := e.newResult()
-		side := p.scaledSide(64)
-		g, err := grid.New(side)
+		g, err := grid.New(p.scaledSide(64))
 		if err != nil {
 			return nil, err
 		}
@@ -36,33 +37,24 @@ func expX05() Experiment {
 		reps := p.reps(8)
 		rumorCounts := []int{1, 2, 4, 16, 64}
 
+		sp := sweep.Spec{
+			Label: fmt.Sprintf("X5: T_G vs rumor count (n=%d, k=%d, r=0)", n, k),
+			Base: scenario.Spec{Engine: scenario.EngineGossip, Nodes: n, Agents: k,
+				Radius: 0, Seed: p.Seed, Reps: reps},
+			Axes: []sweep.Axis{{Field: "rumors", Values: intValues(rumorCounts)}},
+		}
+		_, pts, err := runScenarioSweep(p, "X5", sp, true, repSteps)
+		if err != nil {
+			return nil, err
+		}
+
 		table := tableio.NewTable(
 			fmt.Sprintf("Gossip time vs rumor count, n=%d, k=%d, r=0, %d reps", n, k, reps),
 			"|M|", "median T_G", "mean", "T_G(|M|)/T_G(1)")
-		var pts []pointSummary
-		var base float64
-		for pi, m := range rumorCounts {
-			m := m
-			pt, err := sweepPoint(p.Seed, pi, reps, float64(m), func(seed uint64) (float64, error) {
-				r, err := core.RunPartialGossip(core.Config{
-					Grid: g, K: k, Radius: 0, Seed: seed,
-				}, m)
-				if err != nil {
-					return 0, err
-				}
-				if !r.Completed {
-					return 0, fmt.Errorf("X5: gossip |M|=%d hit cap", m)
-				}
-				return float64(r.Steps), nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			if pi == 0 {
-				base = pt.Sum.Median
-			}
+		base := pts[0].Sum.Median
+		for i, m := range rumorCounts {
+			pt := pts[i]
 			table.AddRow(m, pt.Sum.Median, pt.Sum.Mean, pt.Sum.Median/math.Max(1, base))
-			pts = append(pts, pt)
 			p.logf("X5: |M|=%d median T_G=%.0f", m, pt.Sum.Median)
 		}
 		res.Tables = append(res.Tables, table)

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"mobilenet/internal/grid"
-	"mobilenet/internal/rng"
 	"mobilenet/internal/tableio"
-	"mobilenet/internal/visibility"
 	"mobilenet/internal/walk"
 )
 
@@ -43,15 +41,11 @@ func expX07() Experiment {
 			}
 			k := k
 			stepCap := 4000 * side * side / k // generous Õ(n/√k) headroom
-			bounded, err := sweepPoint(p.Seed, pi, reps, float64(k), func(seed uint64) (float64, error) {
-				return kernelBroadcastTime(g, k, walk.Step, seed, stepCap)
-			})
+			bounded, err := sweepPoint(p.Seed, pi, reps, float64(k), kernelTime(g, k, walk.Step, stepCap))
 			if err != nil {
 				return nil, err
 			}
-			torus, err := sweepPoint(p.Seed, 30+pi, reps, float64(k), func(seed uint64) (float64, error) {
-				return kernelBroadcastTime(g, k, walk.TorusStep, seed, stepCap)
-			})
+			torus, err := sweepPoint(p.Seed, 30+pi, reps, float64(k), kernelTime(g, k, walk.TorusStep, stepCap))
 			if err != nil {
 				return nil, err
 			}
@@ -74,50 +68,4 @@ func expX07() Experiment {
 		return res, nil
 	}
 	return e
-}
-
-// kernelBroadcastTime runs an r=0 broadcast under an arbitrary step kernel
-// and returns the completion time (error if the cap is hit).
-func kernelBroadcastTime(g *grid.Grid, k int, stepFn func(*grid.Grid, grid.Point, *rng.Source) grid.Point, seed uint64, stepCap int) (float64, error) {
-	src := rng.New(seed)
-	pos := make([]grid.Point, k)
-	for i := range pos {
-		pos[i] = grid.Point{X: int32(src.Intn(g.Side())), Y: int32(src.Intn(g.Side()))}
-	}
-	informed := make([]bool, k)
-	informed[0] = true
-	n := 1
-	lab := visibility.NewLabeller(k)
-	exchange := func() {
-		if n == k {
-			return
-		}
-		labels, count := lab.Components(pos, 0)
-		compInf := make([]bool, count)
-		for i, inf := range informed {
-			if inf {
-				compInf[labels[i]] = true
-			}
-		}
-		for i := range informed {
-			if !informed[i] && compInf[labels[i]] {
-				informed[i] = true
-				n++
-			}
-		}
-	}
-	exchange()
-	for t := 1; t <= stepCap; t++ {
-		for i := range pos {
-			pos[i] = stepFn(g, pos[i], src)
-		}
-		exchange()
-		if n == k {
-			return float64(t), nil
-		}
-	}
-	if n == k {
-		return 0, nil
-	}
-	return 0, fmt.Errorf("experiments: kernel broadcast hit cap %d with %d/%d informed", stepCap, n, k)
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"mobilenet/internal/grid"
-	"mobilenet/internal/rng"
 	"mobilenet/internal/tableio"
-	"mobilenet/internal/visibility"
 	"mobilenet/internal/walk"
 )
 
@@ -45,9 +43,7 @@ func expX08() Experiment {
 			}
 			k := k
 			stepCap := 4000 * side * side / k
-			sync, err := sweepPoint(p.Seed, pi, reps, float64(k), func(seed uint64) (float64, error) {
-				return kernelBroadcastTime(g, k, walk.Step, seed, stepCap)
-			})
+			sync, err := sweepPoint(p.Seed, pi, reps, float64(k), kernelTime(g, k, walk.Step, stepCap))
 			if err != nil {
 				return nil, err
 			}
@@ -81,50 +77,16 @@ func expX08() Experiment {
 // uniformly (so every agent still takes one step per unit in expectation),
 // then rumors flood components. Returns the completion time in time units.
 func asyncBroadcastTime(g *grid.Grid, k int, seed uint64, stepCap int) (float64, error) {
-	src := rng.New(seed)
-	pos := make([]grid.Point, k)
-	for i := range pos {
-		pos[i] = grid.Point{X: int32(src.Intn(g.Side())), Y: int32(src.Intn(g.Side()))}
-	}
-	informed := make([]bool, k)
-	informed[0] = true
-	n := 1
-	lab := visibility.NewLabeller(k)
-	var compScratch []bool
-	exchange := func() {
-		if n == k {
-			return
-		}
-		labels, count := lab.Components(pos, 0)
-		if cap(compScratch) < count {
-			compScratch = make([]bool, count)
-		}
-		compInf := compScratch[:count]
-		for i := range compInf {
-			compInf[i] = false
-		}
-		for i, inf := range informed {
-			if inf {
-				compInf[labels[i]] = true
-			}
-		}
-		for i := range informed {
-			if !informed[i] && compInf[labels[i]] {
-				informed[i] = true
-				n++
-			}
-		}
-	}
-	exchange()
+	r := newKernelRun(g, k, seed)
 	for t := 1; t <= stepCap; t++ {
 		for u := 0; u < k; u++ {
-			i := src.Intn(k)
-			pos[i] = walk.Step(g, pos[i], src)
+			i := r.src.Intn(k)
+			r.pos[i] = walk.Step(g, r.pos[i], r.src)
 		}
-		exchange()
-		if n == k {
+		r.exchange()
+		if r.n == k {
 			return float64(t), nil
 		}
 	}
-	return 0, fmt.Errorf("experiments: async broadcast hit cap %d with %d/%d informed", stepCap, n, k)
+	return 0, fmt.Errorf("experiments: async broadcast hit cap %d with %d/%d informed", stepCap, r.n, k)
 }

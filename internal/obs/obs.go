@@ -44,10 +44,13 @@ const (
 	// Meeting is the 0/1 indicator of whether the two walks of a Lemma 3
 	// trial have met inside the lens by step t.
 	Meeting = "meeting"
+	// Frontier is the rightmost x-coordinate of the broadcast's informed
+	// area I(t): the quantity Lemma 7 bounds the speed of.
+	Frontier = "frontier"
 )
 
 // names lists every observable, sorted.
-var names = []string{Components, Coverage, Informed, Largest, Meeting}
+var names = []string{Components, Coverage, Frontier, Informed, Largest, Meeting}
 
 // Names returns all observable names, sorted.
 func Names() []string { return append([]string(nil), names...) }
@@ -149,6 +152,8 @@ type Sample struct {
 	Nodes int
 	// Met is the Lemma 3 lens-meeting indicator.
 	Met bool
+	// Frontier is the informed area's rightmost x-coordinate.
+	Frontier int
 }
 
 // value extracts one observable from the sample.
@@ -170,6 +175,8 @@ func (s Sample) value(name string) float64 {
 			return 1
 		}
 		return 0
+	case Frontier:
+		return float64(s.Frontier)
 	}
 	return 0
 }

@@ -176,13 +176,14 @@ func TestRecorderNeeds(t *testing.T) {
 
 func TestSampleValues(t *testing.T) {
 	t.Parallel()
-	s := Sample{Informed: 7, Components: 3, Largest: 4, Covered: 256, Nodes: 1024, Met: true}
+	s := Sample{Informed: 7, Components: 3, Largest: 4, Covered: 256, Nodes: 1024, Met: true, Frontier: 19}
 	cases := map[string]float64{
 		Informed:   7,
 		Components: 3,
 		Largest:    4,
 		Coverage:   0.25,
 		Meeting:    1,
+		Frontier:   19,
 	}
 	for name, want := range cases {
 		if got := s.value(name); got != want {
@@ -294,7 +295,10 @@ func TestKnownAndNames(t *testing.T) {
 	if Known("velocity") {
 		t.Error("unknown observable reported known")
 	}
-	if len(Names()) != 5 {
+	if !Known(Frontier) {
+		t.Error("frontier not known")
+	}
+	if len(Names()) != 6 {
 		t.Errorf("Names() = %v", Names())
 	}
 }

@@ -4,7 +4,7 @@
 // by r below the percolation point r_c ≈ sqrt(n/k), where no component
 // exceeds a logarithmic number of agents w.h.p.; above r_c a giant
 // component appears. Experiment E4 sweeps r/r_c through the transition and
-// Experiment E5 checks Lemma 6's island-size cap at gamma = sqrt(n/(4e^6 k)).
+// X6 estimates r_c by binary search (EstimateRC).
 package percolation
 
 import (
@@ -204,35 +204,4 @@ func EstimateRC(g *grid.Grid, k, replicates int, threshold float64, seed uint64)
 		}
 	}
 	return lo, nil
-}
-
-// MaxIslandOverTime simulates a population for the given number of steps
-// and returns the largest island (component at radius gammaRadius) observed
-// at any step, the Lemma 6 observable.
-func MaxIslandOverTime(g *grid.Grid, k, gammaRadius, steps int, seed uint64) (int, error) {
-	if g == nil {
-		return 0, fmt.Errorf("percolation: nil grid")
-	}
-	if k <= 0 {
-		return 0, fmt.Errorf("percolation: K must be positive, got %d", k)
-	}
-	if steps < 0 {
-		return 0, fmt.Errorf("percolation: negative steps %d", steps)
-	}
-	pop, err := agent.New(g, k, rng.New(seed))
-	if err != nil {
-		return 0, err
-	}
-	lab := visibility.NewLabeller(k)
-	maxIsland := 0
-	for t := 0; t <= steps; t++ {
-		labels, count := lab.Components(pop.Positions(), gammaRadius)
-		if m := visibility.MaxSize(labels, count); m > maxIsland {
-			maxIsland = m
-		}
-		if t < steps {
-			pop.Step()
-		}
-	}
-	return maxIsland, nil
 }

@@ -213,43 +213,6 @@ func TestEstimateRCDeterministic(t *testing.T) {
 	}
 }
 
-func TestMaxIslandOverTime(t *testing.T) {
-	t.Parallel()
-	g := grid.MustNew(32)
-	k := 16
-	gamma := visibility.FloorRadius(theory.IslandGamma(g.N(), k))
-	maxIsland, err := MaxIslandOverTime(g, k, gamma, 50, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maxIsland < 1 || maxIsland > k {
-		t.Errorf("max island %d out of [1,%d]", maxIsland, k)
-	}
-	// Errors for bad inputs.
-	if _, err := MaxIslandOverTime(nil, 4, 1, 10, 1); err == nil {
-		t.Error("nil grid accepted")
-	}
-	if _, err := MaxIslandOverTime(g, 0, 1, 10, 1); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := MaxIslandOverTime(g, 4, 1, -1, 1); err == nil {
-		t.Error("negative steps accepted")
-	}
-}
-
-func TestMaxIslandZeroSteps(t *testing.T) {
-	t.Parallel()
-	g := grid.MustNew(16)
-	// steps=0 still censuses the initial configuration.
-	m, err := MaxIslandOverTime(g, 8, 0, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m < 1 {
-		t.Errorf("zero-step island census %d, want >= 1", m)
-	}
-}
-
 func BenchmarkSnapshot(b *testing.B) {
 	g := grid.MustNew(64)
 	s := Sweep{Grid: g, K: 256, Radii: []int{4}, Replicates: 1, Seed: 1}

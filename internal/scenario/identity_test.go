@@ -53,6 +53,11 @@ var identityCases = []identityCase{
 			Observe: observeAll(obs.Informed, obs.Coverage)},
 		result: "73d335443b5abf88eafcbc8c2b6e9bd68113beb2046eadc29662e9431d7cefb8",
 		series: "6236031114cdc63fbb30ac09b9de3c26c09bba6543a05c969b598d1a8858855d"},
+	{name: "broadcast/observed-frontier",
+		spec: Spec{Engine: EngineBroadcast, Nodes: 1024, Agents: 16, Seed: 11, Reps: 2,
+			Observe: observeAll(obs.Frontier, obs.Informed)},
+		result: "6a7d4340a076cbe47d232b376cf36c10c26e21bf616320cb8c117652ae9932b9",
+		series: "8639f98a444d49755295f7da0a6c25804178773c1a5e84e80a4b4ec724c3bd97"},
 	{name: "gossip/complete",
 		spec:   Spec{Engine: EngineGossip, Nodes: 256, Agents: 8, Radius: 1, Seed: 3, Reps: 2},
 		result: "36a6244a54ff8ea6792de9e88707f84b2ac4242aed0d3cee694e6bf6e8e99b5f",

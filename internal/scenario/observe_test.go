@@ -229,7 +229,7 @@ func TestSeriesDeterministicAcrossRuns(t *testing.T) {
 func TestObservablesVocabulary(t *testing.T) {
 	t.Parallel()
 	if got := Observables(EngineBroadcast); !reflect.DeepEqual(got,
-		[]string{obs.Components, obs.Coverage, obs.Informed, obs.Largest}) {
+		[]string{obs.Components, obs.Coverage, obs.Frontier, obs.Informed, obs.Largest}) {
 		t.Errorf("broadcast vocabulary = %v", got)
 	}
 	if got := Observables(EngineMeeting); !reflect.DeepEqual(got, []string{obs.Meeting}) {

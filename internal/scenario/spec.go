@@ -325,7 +325,7 @@ func (s Spec) Canonical() (Spec, error) {
 // its runner can actually fill. Canonicalisation filters observe requests
 // down to it, mirroring canonicalMetrics.
 var engineObservables = map[string]map[string]bool{
-	EngineBroadcast: {obs.Informed: true, obs.Components: true, obs.Largest: true, obs.Coverage: true},
+	EngineBroadcast: {obs.Informed: true, obs.Components: true, obs.Largest: true, obs.Coverage: true, obs.Frontier: true},
 	EngineGossip:    {obs.Informed: true, obs.Components: true, obs.Largest: true},
 	EngineFrog:      {obs.Informed: true, obs.Components: true, obs.Largest: true},
 	EngineCoverage:  {obs.Informed: true, obs.Coverage: true},

@@ -208,10 +208,9 @@ func fitPoints(sp Spec, points []PointResult) (*Fit, error) {
 // Run expands the sweep and executes every distinct point on a bounded
 // worker pool, sharing one execution between points that canonicalise to
 // the same scenario (the in-process analogue of the service's hash-keyed
-// dedup). Error semantics match the experiment harness's runReps: the
-// first failure cancels the dispatch of further points (points already
-// executing finish their run) and the error of the lowest-indexed failed
-// point is returned.
+// dedup). The pool is ForEach: the first failure cancels the dispatch of
+// further points (points already executing finish their run) and the
+// error of the lowest-indexed failed point is returned.
 func Run(sp Spec, opt Options) (*Result, error) {
 	points, err := sp.Expand()
 	if err != nil {
@@ -237,17 +236,8 @@ func runPoints(points []Point, opt Options) ([]*scenario.Result, error) {
 		}
 	}
 	uniq := Distinct(points)
-
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(uniq) {
-		workers = len(uniq)
-	}
 	results := make([]*scenario.Result, len(points))
-	errs := make([]error, len(uniq))
-	exec := func(ui int) error {
+	err := ForEach(len(uniq), opt.Workers, func(ui int) error {
 		u := uniq[ui]
 		res, err := runPoint(u.Spec)
 		if err != nil {
@@ -263,17 +253,37 @@ func runPoints(points []Point, opt Options) ([]*scenario.Result, error) {
 			opt.OnPoint(u.Point, res)
 		}
 		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return results, nil
+}
 
+// ForEach runs fn(i) for every i in [0, n) on a bounded pool of at most
+// workers goroutines (0 selects GOMAXPROCS; a pool of one runs the calls
+// inline, in order). The first failure stops the dispatch of further
+// indices — calls already running finish — and the error of the lowest
+// failed index is returned. Sweeps run their distinct points on it, and
+// the experiment suite runs the replicates of its non-sweep experiments on
+// it, so the repository has one bounded pool.
+func ForEach(n, workers int, fn func(i int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
 	if workers <= 1 {
-		for ui := range uniq {
-			if err := exec(ui); err != nil {
-				return nil, err
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
 			}
 		}
-		return results, nil
+		return nil
 	}
 
+	errs := make([]error, n)
 	var (
 		wg   sync.WaitGroup
 		next = make(chan int)
@@ -285,8 +295,8 @@ func runPoints(points []Point, opt Options) ([]*scenario.Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for ui := range next {
-				if errs[ui] = exec(ui); errs[ui] != nil {
+			for i := range next {
+				if errs[i] = fn(i); errs[i] != nil {
 					fail()
 					return
 				}
@@ -294,23 +304,23 @@ func runPoints(points []Point, opt Options) ([]*scenario.Result, error) {
 		}()
 	}
 dispatch:
-	for ui := range uniq {
+	for i := 0; i < n; i++ {
 		select {
-		case next <- ui:
+		case next <- i:
 		case <-done:
 			break dispatch
 		}
 	}
 	close(next)
 	wg.Wait()
-	// uniq is ordered by first point index, so the first recorded error
-	// is the lowest-indexed point's.
+	// Dispatch is in index order, so the first recorded error is the
+	// lowest failed index's.
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return results, nil
+	return nil
 }
 
 // Table renders the sweep as a rectangular table: one row per point, the

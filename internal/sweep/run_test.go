@@ -102,7 +102,7 @@ func TestRunDedupesIdenticalPoints(t *testing.T) {
 	}
 }
 
-// TestRunFirstErrorSemantics is the regression test for runReps-style
+// TestRunFirstErrorSemantics is the regression test for ForEach's
 // error handling at the point level: a failing point cancels remaining
 // dispatch and the lowest-indexed failed point's error is surfaced.
 func TestRunFirstErrorSemantics(t *testing.T) {

@@ -18,7 +18,8 @@ import (
 type Observation struct {
 	// Observables names the series to record; see ObservableNames for the
 	// vocabulary ("informed", "components", "largest_component",
-	// "coverage", "meeting"). Engines record the subset they can produce.
+	// "coverage", "frontier", "meeting"). Engines record the subset they
+	// can produce.
 	Observables []string `json:"observables"`
 	// Every is the sampling cadence: record steps t with t % Every == 0
 	// (t=0 always included). Zero selects every step.

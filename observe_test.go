@@ -169,7 +169,11 @@ func TestEngineObservables(t *testing.T) {
 	if got := EngineObservables("meeting"); !reflect.DeepEqual(got, []string{"meeting"}) {
 		t.Errorf("meeting observables = %v", got)
 	}
-	if len(ObservableNames()) != 5 {
+	if got := EngineObservables("broadcast"); !reflect.DeepEqual(got,
+		[]string{"components", "coverage", "frontier", "informed", "largest_component"}) {
+		t.Errorf("broadcast observables = %v", got)
+	}
+	if len(ObservableNames()) != 6 {
 		t.Errorf("ObservableNames() = %v", ObservableNames())
 	}
 }

@@ -136,6 +136,8 @@ func BenchmarkMobilityModels(b *testing.B) {
 	g := grid.MustNew(side)
 	models := []mobility.Model{
 		mobility.LazyWalk{},
+		mobility.Torus{},
+		mobility.Async{},
 		mobility.RandomWaypoint{Pause: 2},
 		mobility.LevyFlight{},
 		mobility.Ballistic{},

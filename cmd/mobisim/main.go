@@ -37,6 +37,8 @@
 // sub-options after a colon:
 //
 //	lazy                   the paper's lazy random walk (default)
+//	torus                  the lazy walk on the torus (no boundary)
+//	async                  the lazy walk, k random single-agent moves per step
 //	waypoint[:pause=N]     random waypoint with N-tick rest on arrival
 //	levy[:alpha=F,max=N]   Lévy flight, tail exponent F, truncation N
 //	ballistic[:turn=F]     straight lines, per-tick turn probability F
@@ -81,7 +83,7 @@ func run(args []string) error {
 		r        = fs.Int("r", 0, "transmission radius (Manhattan)")
 		seed     = fs.Uint64("seed", 1, "randomness seed")
 		model    = fs.String("model", "broadcast", "engine: broadcast|gossip|frog|coverage|predator|meeting (aliases: cover, extinction)")
-		mobSpec  = fs.String("mobility", "lazy", "mobility model: lazy|waypoint[:pause=N]|levy[:alpha=F,max=N]|ballistic[:turn=F]|trace:FILE[,loop]")
+		mobSpec  = fs.String("mobility", "lazy", "mobility model: lazy|torus|async|waypoint[:pause=N]|levy[:alpha=F,max=N]|ballistic[:turn=F]|trace:FILE[,loop]")
 		preys    = fs.Int("preys", 0, "prey count for -model predator (default k)")
 		reps     = fs.Int("reps", 1, "replicates (position-derived seeds; prints the mean)")
 		maxSteps = fs.Int("max-steps", 0, "cap the run at this many steps (0 = engine's theory-derived default)")

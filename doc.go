@@ -109,14 +109,15 @@
 //
 //   - internal/grid, internal/rng, internal/walk — arena, deterministic
 //     randomness, the §2 lazy-walk kernel
-//   - internal/mobility — pluggable motion laws (lazy, waypoint, Lévy,
-//     ballistic, trace replay)
+//   - internal/mobility — pluggable motion laws (lazy, its torus, async
+//     and simple ablations, waypoint, Lévy, ballistic, trace replay)
 //   - internal/agent, internal/visibility, internal/unionfind,
 //     internal/bitset — populations and the CSR component labeller (the
 //     per-step hot path)
 //   - internal/core, internal/frog, internal/coverage,
-//     internal/predator, internal/meeting, internal/barrier — the
-//     dissemination engines and lemma probes
+//     internal/predator, internal/meeting — the dissemination engines
+//     and lemma probes; internal/barrier — obstacle domains, whose walk
+//     is a motion law
 //   - internal/step — the one step driver every engine runs under: an
 //     engine is a state machine (step, done, time, sample) and the driver
 //     owns the step cap, cancellation, profiling and observation cadence

@@ -6,6 +6,10 @@
 // stationary (every free->free edge remains symmetric with probability
 // 1/5).
 //
+// Domain.Walk is that motion law as a mobility.Model, so a broadcast on a
+// domain is core's broadcast with the domain's walk, and every other
+// engine can run on a domain too.
+//
 // Communication is unchanged: two agents within Manhattan distance r
 // exchange rumors regardless of walls. This models radio that penetrates
 // obstacles which block only movement (fences, water, cliffs); fully
@@ -18,8 +22,8 @@ import (
 
 	"mobilenet/internal/bitset"
 	"mobilenet/internal/grid"
+	"mobilenet/internal/mobility"
 	"mobilenet/internal/rng"
-	"mobilenet/internal/visibility"
 )
 
 // Domain is a grid with blocked nodes. Construct with NewDomain and the
@@ -214,159 +218,77 @@ func (d *Domain) Step(p grid.Point, src *rng.Source) grid.Point {
 	return q
 }
 
-// PlaceUniform returns k agents placed uniformly at random on free nodes.
-// It uses rejection sampling, which stays cheap for the obstacle densities
-// the experiments use (< 50%).
-func (d *Domain) PlaceUniform(k int, src *rng.Source) ([]grid.Point, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("barrier: k must be positive, got %d", k)
-	}
-	if d.free == 0 {
-		return nil, fmt.Errorf("barrier: no free nodes to place agents on")
-	}
-	side := d.g.Side()
-	out := make([]grid.Point, k)
-	for i := range out {
-		for {
-			p := grid.Point{X: int32(src.Intn(side)), Y: int32(src.Intn(side))}
-			if !d.Blocked(p) {
-				out[i] = p
-				break
-			}
-		}
-	}
-	return out, nil
-}
-
 // PlaceUniformConnected places k agents uniformly at random on the largest
 // connected free component, the physically sensible placement for
 // dissemination studies on obstacle fields (enclosed pockets can never be
-// reached by mobility).
+// reached by mobility). It is the placement of the domain's walk.
 func (d *Domain) PlaceUniformConnected(k int, src *rng.Source) ([]grid.Point, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("barrier: k must be positive, got %d", k)
+	st, err := d.Walk().Bind(d.g, k, src)
+	if err != nil {
+		return nil, err
 	}
-	comp, size := d.LargestFreeComponent()
+	out := make([]grid.Point, k)
+	st.Place(out)
+	return out, nil
+}
+
+// Walk returns the domain's motion law as a mobility model, so every
+// engine runs on the domain: agents are placed uniformly on the largest
+// connected free component, each drawing X then Y until it lands there,
+// and each takes one Step per time unit, in index order. Bind rejects a
+// grid of another side than the domain's, and a domain with no free node.
+// Do not change the obstacles while a population walks on the domain.
+func (d *Domain) Walk() mobility.Model { return domainWalk{d} }
+
+type domainWalk struct{ d *Domain }
+
+// Name implements mobility.Model.
+func (domainWalk) Name() string { return "barrier" }
+
+// UniformStationary implements mobility.Model. Blocked nodes are never
+// occupied, so occupancy is not uniform on the grid.
+func (domainWalk) UniformStationary() bool { return false }
+
+// Bind implements mobility.Model.
+func (w domainWalk) Bind(g *grid.Grid, k int, src *rng.Source) (mobility.State, error) {
+	switch {
+	case g == nil || g.Side() != w.d.g.Side():
+		return nil, fmt.Errorf("barrier: walk needs a grid of side %d", w.d.g.Side())
+	case k <= 0:
+		return nil, fmt.Errorf("barrier: k must be positive, got %d", k)
+	case src == nil:
+		return nil, fmt.Errorf("barrier: nil randomness source")
+	}
+	comp, size := w.d.LargestFreeComponent()
 	if size == 0 {
 		return nil, fmt.Errorf("barrier: no free nodes to place agents on")
 	}
-	side := d.g.Side()
-	out := make([]grid.Point, k)
-	for i := range out {
+	return &walkState{d: w.d, comp: comp, src: src}, nil
+}
+
+type walkState struct {
+	d    *Domain
+	comp *bitset.Set // largest connected free component
+	src  *rng.Source
+}
+
+func (s *walkState) Place(pos []grid.Point) {
+	side := s.d.g.Side()
+	for i := range pos {
 		for {
-			p := grid.Point{X: int32(src.Intn(side)), Y: int32(src.Intn(side))}
-			if comp.Contains(int(d.g.ID(p))) {
-				out[i] = p
+			p := grid.Point{X: int32(s.src.Intn(side)), Y: int32(s.src.Intn(side))}
+			if s.comp.Contains(int(s.d.g.ID(p))) {
+				pos[i] = p
 				break
 			}
 		}
 	}
-	return out, nil
 }
 
-// Config parameterises a broadcast on a domain with barriers.
-type Config struct {
-	// Domain is the arena with obstacles. Required.
-	Domain *Domain
-	// K is the number of agents. Required.
-	K int
-	// Radius is the transmission radius (communication ignores walls; see
-	// the package comment).
-	Radius int
-	// Seed drives placement and motion.
-	Seed uint64
-	// MaxSteps caps the run. Required to be positive: barrier domains have
-	// no general closed-form envelope to derive a default from (a narrow
-	// gap can slow dissemination arbitrarily).
-	MaxSteps int
-	// ConnectedPlacement places agents on the largest connected free
-	// component instead of all free nodes, guaranteeing mobility can
-	// eventually inform everyone at r=0 (random obstacle fields enclose
-	// unreachable pockets otherwise).
-	ConnectedPlacement bool
+func (s *walkState) Step(pos []grid.Point) {
+	for i := range pos {
+		s.StepAgent(pos, i)
+	}
 }
 
-func (c *Config) validate() error {
-	if c.Domain == nil {
-		return fmt.Errorf("barrier: config requires a domain")
-	}
-	if c.K <= 0 {
-		return fmt.Errorf("barrier: K must be positive, got %d", c.K)
-	}
-	if c.Radius < 0 {
-		return fmt.Errorf("barrier: negative radius %d", c.Radius)
-	}
-	if c.MaxSteps <= 0 {
-		return fmt.Errorf("barrier: MaxSteps must be positive (no default on barrier domains)")
-	}
-	return nil
-}
-
-// Result summarises a barrier broadcast run.
-type Result struct {
-	// Steps is the broadcast time (valid when Completed).
-	Steps int
-	// Completed is false when MaxSteps was reached first.
-	Completed bool
-	// Informed is the number of informed agents at the end.
-	Informed int
-}
-
-// RunBroadcast runs a single-rumor broadcast from agent 0 on the domain.
-func RunBroadcast(cfg Config) (Result, error) {
-	if err := cfg.validate(); err != nil {
-		return Result{}, err
-	}
-	src := rng.New(cfg.Seed)
-	var pos []grid.Point
-	var err error
-	if cfg.ConnectedPlacement {
-		pos, err = cfg.Domain.PlaceUniformConnected(cfg.K, src)
-	} else {
-		pos, err = cfg.Domain.PlaceUniform(cfg.K, src)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	informed := make([]bool, cfg.K)
-	informed[0] = true
-	nInf := 1
-	lab := visibility.NewLabeller(cfg.K)
-
-	var compScratch []bool
-	exchange := func() {
-		if nInf == cfg.K {
-			return
-		}
-		labels, count := lab.Components(pos, cfg.Radius)
-		if cap(compScratch) < count {
-			compScratch = make([]bool, count)
-		}
-		compInf := compScratch[:count]
-		for i := range compInf {
-			compInf[i] = false
-		}
-		for i, inf := range informed {
-			if inf {
-				compInf[labels[i]] = true
-			}
-		}
-		for i := range informed {
-			if !informed[i] && compInf[labels[i]] {
-				informed[i] = true
-				nInf++
-			}
-		}
-	}
-
-	exchange()
-	t := 0
-	for nInf < cfg.K && t < cfg.MaxSteps {
-		for i := range pos {
-			pos[i] = cfg.Domain.Step(pos[i], src)
-		}
-		t++
-		exchange()
-	}
-	return Result{Steps: t, Completed: nInf == cfg.K, Informed: nInf}, nil
-}
+func (s *walkState) StepAgent(pos []grid.Point, i int) { pos[i] = s.d.Step(pos[i], s.src) }

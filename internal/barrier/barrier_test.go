@@ -3,6 +3,8 @@ package barrier
 import (
 	"testing"
 
+	"mobilenet/internal/agent"
+	"mobilenet/internal/core"
 	"mobilenet/internal/grid"
 	"mobilenet/internal/rng"
 )
@@ -180,21 +182,21 @@ func TestStepNeverEntersBlocked(t *testing.T) {
 	if err := d.AddRandomObstacles(0.3, rng.New(5)); err != nil {
 		t.Fatal(err)
 	}
-	src := rng.New(7)
-	pos, err := d.PlaceUniform(1, src)
+	st, err := d.Walk().Bind(d.Grid(), 1, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := pos[0]
+	pos := make([]grid.Point, 1)
+	st.Place(pos)
 	for i := 0; i < 20000; i++ {
-		q := d.Step(p, src)
-		if d.Blocked(q) {
-			t.Fatalf("stepped onto blocked node %v", q)
+		p := pos[0]
+		st.Step(pos)
+		if d.Blocked(pos[0]) {
+			t.Fatalf("stepped onto blocked node %v", pos[0])
 		}
-		if grid.ManhattanPoints(p, q) > 1 {
-			t.Fatalf("jumped from %v to %v", p, q)
+		if grid.ManhattanPoints(p, pos[0]) > 1 {
+			t.Fatalf("jumped from %v to %v", p, pos[0])
 		}
-		p = q
 	}
 }
 
@@ -204,17 +206,89 @@ func TestPlaceUniformAvoidsWalls(t *testing.T) {
 	if err := d.AddWall(5, 2); err != nil {
 		t.Fatal(err)
 	}
-	pos, err := d.PlaceUniform(200, rng.New(9))
+	st, err := d.Walk().Bind(d.Grid(), 200, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
+	pos := make([]grid.Point, 200)
+	st.Place(pos)
 	for _, p := range pos {
 		if d.Blocked(p) {
 			t.Fatalf("agent placed on blocked node %v", p)
 		}
 	}
-	if _, err := d.PlaceUniform(0, rng.New(1)); err == nil {
+}
+
+// TestWalkMatchesDomainStep pins the walk model to the historical barrier
+// loop: rejection placement on the largest free component, drawing X then
+// Y per agent, then one Domain.Step per agent per time unit, in index
+// order, on one randomness stream.
+func TestWalkMatchesDomainStep(t *testing.T) {
+	t.Parallel()
+	const side, k, steps = 16, 12, 300
+	d := openDomain(t, side)
+	if err := d.AddRandomObstacles(0.2, rng.New(3)); err != nil {
+		t.Fatal(err)
+	}
+	pop, err := agent.NewWithModel(d.Grid(), k, rng.New(41), d.Walk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(41)
+	comp, _ := d.LargestFreeComponent()
+	ref := make([]grid.Point, k)
+	for i := range ref {
+		for {
+			p := pt(int32(src.Intn(side)), int32(src.Intn(side)))
+			if comp.Contains(int(d.Grid().ID(p))) {
+				ref[i] = p
+				break
+			}
+		}
+	}
+	for s := 0; s <= steps; s++ {
+		for i := range ref {
+			if pop.Position(i) != ref[i] {
+				t.Fatalf("t=%d agent %d: %v != Domain.Step %v", s, i, pop.Position(i), ref[i])
+			}
+		}
+		pop.Step()
+		for i := range ref {
+			ref[i] = d.Step(ref[i], src)
+		}
+	}
+}
+
+func TestWalkBindValidation(t *testing.T) {
+	t.Parallel()
+	d := openDomain(t, 8)
+	w := d.Walk()
+	if w.UniformStationary() {
+		t.Error("barrier walk claims uniform occupancy of the grid")
+	}
+	if _, err := w.Bind(grid.MustNew(8), 4, rng.New(1)); err != nil {
+		t.Errorf("equal-side grid rejected: %v", err)
+	}
+	if _, err := w.Bind(grid.MustNew(9), 4, rng.New(1)); err == nil {
+		t.Error("grid of another side accepted")
+	}
+	if _, err := w.Bind(nil, 4, rng.New(1)); err == nil {
+		t.Error("nil grid accepted")
+	}
+	if _, err := w.Bind(d.Grid(), 0, rng.New(1)); err == nil {
 		t.Error("k=0 accepted")
+	}
+	if _, err := w.Bind(d.Grid(), 4, nil); err == nil {
+		t.Error("nil source accepted")
+	}
+	blocked := openDomain(t, 2)
+	for y := int32(0); y < 2; y++ {
+		for x := int32(0); x < 2; x++ {
+			blocked.Block(pt(x, y))
+		}
+	}
+	if _, err := blocked.Walk().Bind(blocked.Grid(), 1, rng.New(1)); err == nil {
+		t.Error("fully blocked domain accepted")
 	}
 }
 
@@ -288,21 +362,44 @@ func TestPlaceUniformConnected(t *testing.T) {
 	}
 }
 
+// broadcast runs core's broadcast on the domain under its walk.
+func broadcast(t testing.TB, d *Domain, cfg core.Config) *core.Broadcast {
+	t.Helper()
+	cfg.Grid = d.Grid()
+	cfg.Mobility = d.Walk()
+	b, err := core.NewBroadcast(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Run()
+	return b
+}
+
+// splitPlacement puts half of k agents left of a solid wall at x=5 on a
+// 10-side domain and half right of it, agent 0 on the left. The walk's
+// own placement cannot: it uses the largest free component only.
+func splitPlacement(k int) []grid.Point {
+	pos := make([]grid.Point, k)
+	for i := range pos {
+		x := int32(1)
+		if i%2 == 1 {
+			x = 8
+		}
+		pos[i] = pt(x, int32(i%10))
+	}
+	return pos
+}
+
 func TestConnectedPlacementBroadcastCompletesOnSplitDomain(t *testing.T) {
 	t.Parallel()
-	// With a solid wall, plain placement eventually deadlocks (agents on
-	// both sides) but connected placement always completes.
+	// With a solid wall, agents on both sides deadlock at r=0, but the
+	// walk places everyone on the largest component, so the run completes.
 	d := openDomain(t, 10)
 	if err := d.AddWall(5, 0); err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunBroadcast(Config{
-		Domain: d, K: 8, Seed: 11, MaxSteps: 500000, ConnectedPlacement: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
+	b := broadcast(t, d, core.Config{K: 8, Seed: 11, MaxSteps: 500000})
+	if res := b.Result(); !res.Completed {
 		t.Fatalf("connected placement did not complete: %+v", res)
 	}
 }
@@ -310,14 +407,20 @@ func TestConnectedPlacementBroadcastCompletesOnSplitDomain(t *testing.T) {
 func TestRunBroadcastValidation(t *testing.T) {
 	t.Parallel()
 	d := openDomain(t, 8)
-	bad := []Config{
-		{K: 4, MaxSteps: 10},
-		{Domain: d, K: 0, MaxSteps: 10},
-		{Domain: d, K: 4, Radius: -1, MaxSteps: 10},
-		{Domain: d, K: 4, MaxSteps: 0},
+	blocked := openDomain(t, 2)
+	for y := int32(0); y < 2; y++ {
+		for x := int32(0); x < 2; x++ {
+			blocked.Block(pt(x, y))
+		}
+	}
+	bad := []core.Config{
+		{Grid: grid.MustNew(9), K: 4, Mobility: d.Walk()},
+		{Grid: d.Grid(), K: 0, Mobility: d.Walk()},
+		{Grid: d.Grid(), K: 4, Radius: -1, Mobility: d.Walk()},
+		{Grid: blocked.Grid(), K: 4, Mobility: blocked.Walk()},
 	}
 	for i, c := range bad {
-		if _, err := RunBroadcast(c); err == nil {
+		if _, err := core.RunBroadcast(c); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
@@ -326,12 +429,9 @@ func TestRunBroadcastValidation(t *testing.T) {
 func TestRunBroadcastOpenDomainCompletes(t *testing.T) {
 	t.Parallel()
 	d := openDomain(t, 8)
-	res, err := RunBroadcast(Config{Domain: d, K: 6, Seed: 1, MaxSteps: 100000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed || res.Informed != 6 {
-		t.Fatalf("open-domain broadcast: %+v", res)
+	b := broadcast(t, d, core.Config{K: 6, Seed: 1, MaxSteps: 100000})
+	if res := b.Result(); !res.Completed || b.InformedCount() != 6 {
+		t.Fatalf("open-domain broadcast: %+v, %d informed", res, b.InformedCount())
 	}
 }
 
@@ -341,11 +441,8 @@ func TestRunBroadcastThroughGap(t *testing.T) {
 	if err := d.AddWall(6, 2); err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunBroadcast(Config{Domain: d, K: 8, Seed: 3, MaxSteps: 500000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
+	b := broadcast(t, d, core.Config{K: 8, Seed: 3, MaxSteps: 500000})
+	if res := b.Result(); !res.Completed {
 		t.Fatalf("gapped-wall broadcast incomplete: %+v", res)
 	}
 }
@@ -354,70 +451,50 @@ func TestRunBroadcastBlockedBySolidWallMobility(t *testing.T) {
 	t.Parallel()
 	// Solid wall, radius 0: the rumor cannot cross by movement and there
 	// is no radio bridge, so with agents on both sides the broadcast must
-	// NOT complete. Seed chosen so both sides are populated (checked).
+	// NOT complete.
 	d := openDomain(t, 10)
 	if err := d.AddWall(5, 0); err != nil {
 		t.Fatal(err)
 	}
-	src := rng.New(11)
-	pos, err := d.PlaceUniform(8, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	left, right := 0, 0
-	for _, p := range pos {
-		if p.X < 5 {
-			left++
-		} else {
-			right++
-		}
-	}
-	if left == 0 || right == 0 {
-		t.Skip("all agents landed on one side; geometry untestable with this seed")
-	}
-	res, err := RunBroadcast(Config{Domain: d, K: 8, Seed: 11, MaxSteps: 20000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed {
+	b := broadcast(t, d, core.Config{K: 8, Seed: 11, MaxSteps: 20000, Placement: splitPlacement(8)})
+	if res := b.Result(); res.Completed {
 		t.Fatalf("broadcast crossed a solid wall at r=0: %+v", res)
 	}
-	if res.Informed < 1 || res.Informed >= 8 {
-		t.Errorf("informed = %d, want partial dissemination", res.Informed)
+	if inf := b.InformedCount(); inf < 1 || inf > 4 {
+		t.Errorf("informed = %d, want the left side at most", inf)
+	}
+	for i := 1; i < 8; i += 2 {
+		if b.Informed(i) {
+			t.Fatalf("agent %d right of the wall is informed", i)
+		}
 	}
 }
 
 func TestRunBroadcastRadioBridgesWall(t *testing.T) {
 	t.Parallel()
-	// Same solid wall, but a transmission radius wide enough to bridge the
-	// one-node-thick wall: broadcast completes (communication penetrates).
+	// Same solid wall and split population, but a transmission radius wide
+	// enough to bridge the one-node-thick wall: broadcast completes
+	// (communication penetrates).
 	d := openDomain(t, 10)
 	if err := d.AddWall(5, 0); err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunBroadcast(Config{Domain: d, K: 12, Radius: 4, Seed: 13, MaxSteps: 200000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
+	b := broadcast(t, d, core.Config{K: 12, Radius: 4, Seed: 13, MaxSteps: 200000, Placement: splitPlacement(12)})
+	if res := b.Result(); !res.Completed {
 		t.Fatalf("radio did not bridge the wall: %+v", res)
 	}
 }
 
 func TestBarrierDeterministic(t *testing.T) {
 	t.Parallel()
-	mk := func() Result {
+	mk := func() core.BroadcastResult {
 		d := openDomain(t, 10)
 		if err := d.AddRandomObstacles(0.15, rng.New(21)); err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunBroadcast(Config{Domain: d, K: 5, Seed: 17, MaxSteps: 300000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return broadcast(t, d, core.Config{K: 5, Seed: 17, MaxSteps: 300000}).Result()
 	}
-	if a, b := mk(), mk(); a != b {
+	if a, b := mk(), mk(); a.Steps != b.Steps || a.Completed != b.Completed {
 		t.Fatalf("barrier broadcast not deterministic: %+v vs %+v", a, b)
 	}
 }
@@ -431,7 +508,8 @@ func BenchmarkBarrierBroadcast(b *testing.B) {
 		if err := d.AddWall(12, 4); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := RunBroadcast(Config{Domain: d, K: 12, Seed: uint64(i), MaxSteps: 1 << 20}); err != nil {
+		cfg := core.Config{Grid: d.Grid(), K: 12, Seed: uint64(i), MaxSteps: 1 << 20, Mobility: d.Walk()}
+		if _, err := core.RunBroadcast(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

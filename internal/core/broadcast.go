@@ -199,11 +199,14 @@ func (b *Broadcast) Step() {
 
 // Done reports whether the run is over: every agent is informed and, when
 // the run measures the coverage time T_C (Config.TrackInformedArea), the
-// informed area covers the grid. That continuation past full dissemination
-// is keyed on the config flag alone: the coverage and frontier observables
-// track the area too, but never change when a run ends.
+// informed area covers the grid and, when it tessellates the grid
+// (Config.CellSide), an informed agent has reached every cell. Those
+// continuations past full dissemination are keyed on the config alone:
+// the coverage and frontier observables track the area too, but never
+// change when a run ends.
 func (b *Broadcast) Done() bool {
-	return b.informedStep >= 0 && (b.coverageStep >= 0 || !b.cfg.TrackInformedArea)
+	return b.informedStep >= 0 && (b.coverageStep >= 0 || !b.cfg.TrackInformedArea) &&
+		(b.cells == nil || b.cells.allReached())
 }
 
 // Sample returns the current step's observables. The component observables
@@ -295,7 +298,8 @@ func (b *Broadcast) Result() BroadcastResult {
 // Run drives the broadcast to completion (or the step cap) through the
 // step driver and returns the result. When Config.TrackInformedArea is set,
 // the run continues after full information until the grid is covered (to
-// measure T_C), still subject to the step cap.
+// measure T_C), and when Config.CellSide is set until every cell is
+// reached, still subject to the step cap.
 func (b *Broadcast) Run() BroadcastResult {
 	step.Run(b, step.Hooks{Cap: b.cfg.StepCap(), Profile: b.cfg.Profile})
 	return b.Result()

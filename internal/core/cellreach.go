@@ -55,15 +55,6 @@ type CellReachReport struct {
 	SourceCell int
 }
 
-// AllCellsReached reports whether every tessellation cell has hosted an
-// informed agent; it returns true vacuously when cell tracking is off.
-// Broadcast completion does not imply exploration completion: the last
-// stragglers may be informed before some far cell is ever visited, so
-// exploration studies keep stepping past Done() until this returns true.
-func (b *Broadcast) AllCellsReached() bool {
-	return b.cells == nil || b.cells.allReached()
-}
-
 // CellReach returns the tessellation report, or nil when cell tracking was
 // not enabled.
 func (b *Broadcast) CellReach() *CellReachReport {

@@ -65,7 +65,8 @@ type Config struct {
 	// cells and records the first time an informed agent enters each cell —
 	// the bookkeeping of the paper's Theorem 1 proof (cells of side
 	// l = sqrt(14 n log³n / (c3 k))). See theory.CellSide for the paper's
-	// value.
+	// value. Full dissemination does not imply every cell was reached, so
+	// the broadcast runs on past T_B until it is (see Broadcast.Done).
 	CellSide int
 
 	// Profile, when non-nil, accumulates per-phase wall-clock time (move,
@@ -93,6 +94,9 @@ func (c *Config) validate() error {
 	}
 	if c.K <= 0 {
 		return fmt.Errorf("core: K must be positive, got %d", c.K)
+	}
+	if c.Radius < 0 {
+		return fmt.Errorf("core: negative radius %d", c.Radius)
 	}
 	if c.Source != SourceRandom && (c.Source < 0 || c.Source >= c.K) {
 		return fmt.Errorf("core: source %d out of range [0,%d)", c.Source, c.K)

@@ -31,6 +31,7 @@ func TestConfigValidation(t *testing.T) {
 		{"source too high", Config{Grid: g, K: 4, Source: 4}},
 		{"source too low", Config{Grid: g, K: 4, Source: -2}},
 		{"negative max steps", Config{Grid: g, K: 4, MaxSteps: -1}},
+		{"negative radius", Config{Grid: g, K: 4, Radius: -1}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -371,6 +372,35 @@ func TestCellReachTracking(t *testing.T) {
 	}
 	if rep.Reached < 1 {
 		t.Error("no cells reached")
+	}
+}
+
+// TestCellSideRunsPastBroadcast pins the tessellated run's end: the two
+// agents start on one node, so T_B = 0, and the broadcast keeps stepping
+// until an informed agent has reached every cell, which ends the run,
+// while the result still reports T_B.
+func TestCellSideRunsPastBroadcast(t *testing.T) {
+	t.Parallel()
+	cfg := testConfig(16, 2, 0, 83)
+	cfg.Placement = []grid.Point{{X: 1, Y: 1}, {X: 1, Y: 1}}
+	cfg.CellSide = 4
+	b, err := NewBroadcast(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Done() {
+		t.Fatal("done at t=0 with one of 16 cells reached")
+	}
+	res := b.Run()
+	if !res.Completed || res.Steps != 0 {
+		t.Fatalf("result %+v, want T_B = 0", res)
+	}
+	rep := b.CellReach()
+	if rep.Reached != rep.Cells {
+		t.Fatalf("run ended with %d/%d cells reached", rep.Reached, rep.Cells)
+	}
+	if b.Time() == 0 || rep.MaxReach != b.Time() {
+		t.Fatalf("run ended at t=%d, last cell reached at %d", b.Time(), rep.MaxReach)
 	}
 }
 

@@ -17,20 +17,6 @@ type pointSummary struct {
 	Sum    stats.Summary
 }
 
-// sweepPoint runs one sweep coordinate: reps replicates of fn with
-// deterministic seeds, summarised.
-func sweepPoint(master uint64, idx, reps int, x float64, fn func(seed uint64) (float64, error)) (pointSummary, error) {
-	vals, err := runReps(master, idx, reps, fn)
-	if err != nil {
-		return pointSummary{}, err
-	}
-	s, err := stats.Summarize(vals)
-	if err != nil {
-		return pointSummary{}, err
-	}
-	return pointSummary{X: x, Values: vals, Sum: s}, nil
-}
-
 // summarizePoint wraps precomputed replicate values as a pointSummary. It
 // panics on empty input; callers always supply at least one replicate.
 func summarizePoint(x float64, vals []float64) pointSummary {

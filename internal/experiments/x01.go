@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mobilenet/internal/barrier"
+	"mobilenet/internal/core"
 	"mobilenet/internal/grid"
 	"mobilenet/internal/plot"
 	"mobilenet/internal/rng"
@@ -77,11 +78,12 @@ func expX01() Experiment {
 				if err != nil {
 					return 0, err
 				}
-				// Random obstacle fields enclose unreachable free pockets,
-				// so agents go on the largest connected free component.
-				r, err := barrier.RunBroadcast(barrier.Config{
-					Domain: d, K: k, Radius: 0, Seed: seed, MaxSteps: maxSteps,
-					ConnectedPlacement: true,
+				// Random obstacle fields enclose unreachable free pockets;
+				// the domain's walk places agents on the largest connected
+				// free component.
+				r, err := core.RunBroadcast(core.Config{
+					Grid: d.Grid(), K: k, Radius: 0, Seed: seed, Source: 0,
+					MaxSteps: maxSteps, Mobility: d.Walk(),
 				})
 				if err != nil {
 					return 0, err

@@ -52,6 +52,8 @@ func expX02() Experiment {
 		var profCount []int
 		reachRatio := 0.0 // MaxReach / T_B, averaged
 		for rep := 0; rep < reps; rep++ {
+			// With CellSide set the run continues past T_B until an
+			// informed agent has reached every cell, under one step cap.
 			cfg := core.Config{
 				Grid: g, K: k, Radius: 0,
 				Seed: repSeed(p.Seed, 0, rep), Source: 0,
@@ -65,22 +67,10 @@ func expX02() Experiment {
 			if !bres.Completed {
 				return nil, fmt.Errorf("X2: rep %d incomplete", rep)
 			}
-			// Broadcast completion does not imply every cell was visited by
-			// an informed agent; keep stepping until exploration finishes.
-			explCap := 10 * bres.Steps
-			if explCap < 4096 {
-				explCap = 4096
-			}
-			for !b.AllCellsReached() && b.Time() < explCap {
-				b.Step()
-			}
 			report := b.CellReach()
-			if report == nil {
-				return nil, fmt.Errorf("X2: missing cell report")
-			}
 			if report.Reached != report.Cells {
 				return nil, fmt.Errorf("X2: only %d/%d cells reached within %d steps",
-					report.Reached, report.Cells, explCap)
+					report.Reached, report.Cells, cfg.StepCap())
 			}
 			reachRatio += float64(report.MaxReach) / float64(maxI(bres.Steps, 1))
 			prof := report.ReachByCellDistance(perRow)

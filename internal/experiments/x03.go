@@ -3,7 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"mobilenet/internal/core"
 	"mobilenet/internal/grid"
+	"mobilenet/internal/mobility"
 	"mobilenet/internal/rng"
 	"mobilenet/internal/tableio"
 	"mobilenet/internal/walk"
@@ -15,7 +17,9 @@ import (
 // separation is odd can NEVER meet on a node — r=0 dissemination deadlocks
 // for roughly half the agent pairs. The experiment measures (a) pairwise
 // meeting frequency by initial-parity class and (b) full-broadcast success
-// rates, for both kernels.
+// rates, for both kernels: part (a) is a two-walk trial from a fixed
+// separation, part (b) core's broadcast under the lazy walk and under
+// mobility.Simple.
 func expX03() Experiment {
 	e := Experiment{
 		ID:    "X3",
@@ -108,14 +112,25 @@ func expX03() Experiment {
 			"kernel", "completed runs", "median informed at end")
 		for bi, kernel := range []struct {
 			name string
-			fn   func(*grid.Grid, grid.Point, *rng.Source) grid.Point
-		}{{"lazy", walk.Step}, {"simple", walk.SimpleStep}} {
+			m    mobility.Model
+		}{{"lazy", mobility.LazyWalk{}}, {"simple", mobility.Simple{}}} {
 			kernel := kernel
+			informedCounts, err := runReps(p.Seed, 50+bi, breps, func(seed uint64) (float64, error) {
+				b, err := core.NewBroadcast(core.Config{
+					Grid: g, K: k, Radius: 0, Seed: seed, Source: 0,
+					MaxSteps: stepCap, Mobility: kernel.m,
+				})
+				if err != nil {
+					return 0, err
+				}
+				b.Run()
+				return float64(b.InformedCount()), nil
+			})
+			if err != nil {
+				return nil, err
+			}
 			completed := 0
-			informedCounts := make([]float64, breps)
-			for rep := 0; rep < breps; rep++ {
-				_, inf := kernelBroadcast(g, k, kernel.fn, repSeed(p.Seed, 50+bi, rep), stepCap)
-				informedCounts[rep] = float64(inf)
+			for _, inf := range informedCounts {
 				if inf == k {
 					completed++
 				}

@@ -4,8 +4,9 @@ import (
 	"fmt"
 
 	"mobilenet/internal/grid"
+	"mobilenet/internal/scenario"
+	"mobilenet/internal/sweep"
 	"mobilenet/internal/tableio"
-	"mobilenet/internal/walk"
 )
 
 // expX07 is the boundary ablation. The paper's Lemma 1 handles the grid
@@ -13,7 +14,8 @@ import (
 // probabilities only by constants. Running identical broadcasts on the
 // bounded grid and on the torus (no boundary at all) makes that claim
 // measurable: the two medians should agree within a small constant factor
-// at every k.
+// at every k. One sweep crosses the agent counts with the lazy and torus
+// mobility models; both models of a k share the replicate seeds.
 func expX07() Experiment {
 	e := Experiment{
 		ID:    "X7",
@@ -22,33 +24,35 @@ func expX07() Experiment {
 	}
 	e.Run = func(p Params) (*Result, error) {
 		res := e.newResult()
-		side := p.scaledSide(96)
-		g, err := grid.New(side)
+		g, err := grid.New(p.scaledSide(96))
 		if err != nil {
 			return nil, err
 		}
 		n := g.N()
 		reps := p.reps(8)
-		ks := []int{16, 64, 256}
+		ks := sparseKs(n, 16, 64, 256)
+
+		sp := sweep.Spec{
+			Label: fmt.Sprintf("X7: bounded vs torus T_B vs k (n=%d, r=0)", n),
+			Base: scenario.Spec{Engine: scenario.EngineBroadcast, Nodes: n, Agents: ks[0],
+				Radius: 0, Seed: p.Seed, Source: 0, Reps: reps},
+			Axes: []sweep.Axis{
+				{Field: "agents", Values: intValues(ks)},
+				{Field: "mobility", Values: []any{"lazy", "torus"}},
+			},
+		}
+		_, pts, err := runScenarioSweep(p, "X7", sp, true, repSteps)
+		if err != nil {
+			return nil, err
+		}
+		boundedPts, torusPts := pairs(pts)
 
 		table := tableio.NewTable(
 			fmt.Sprintf("Bounded vs torus broadcast (r=0), n=%d, %d reps", n, reps),
 			"k", "median T_B bounded", "median T_B torus", "bounded/torus")
 		verdict := VerdictPass
-		for pi, k := range ks {
-			if 2*k > n {
-				continue
-			}
-			k := k
-			stepCap := 4000 * side * side / k // generous Õ(n/√k) headroom
-			bounded, err := sweepPoint(p.Seed, pi, reps, float64(k), kernelTime(g, k, walk.Step, stepCap))
-			if err != nil {
-				return nil, err
-			}
-			torus, err := sweepPoint(p.Seed, 30+pi, reps, float64(k), kernelTime(g, k, walk.TorusStep, stepCap))
-			if err != nil {
-				return nil, err
-			}
+		for i, k := range ks {
+			bounded, torus := boundedPts[i], torusPts[i]
 			ratio := bounded.Sum.Median / torus.Sum.Median
 			table.AddRow(k, bounded.Sum.Median, torus.Sum.Median, ratio)
 			// Boundaries slow meetings slightly (reflection concentrates

@@ -4,18 +4,21 @@ import (
 	"fmt"
 
 	"mobilenet/internal/grid"
+	"mobilenet/internal/scenario"
+	"mobilenet/internal/sweep"
 	"mobilenet/internal/tableio"
-	"mobilenet/internal/walk"
 )
 
 // expX08 is the synchrony ablation. The paper's model moves all agents in
 // lockstep; the continuous-time models it cites in related work (Kesten &
 // Sidoravicius's walkers with i.i.d. Poisson clocks) update asynchronously.
 // The experiment compares the synchronous scheduler against a random
-// sequential one (per time unit, k single-agent updates with the agent
-// drawn uniformly at random — the discrete Poissonization), at identical
-// parameters and rates. If the Θ̃(n/√k) behaviour depended on synchrony it
-// would be a fragile artifact; the ratio staying near 1 shows it does not.
+// sequential one (the async mobility model: per time unit, k single-agent
+// updates with the agent drawn uniformly at random — the discrete
+// Poissonization), at identical parameters and rates, in one sweep over
+// the agent counts and the two models. If the Θ̃(n/√k) behaviour depended
+// on synchrony it would be a fragile artifact; the ratio staying near 1
+// shows it does not.
 func expX08() Experiment {
 	e := Experiment{
 		ID:    "X8",
@@ -24,35 +27,35 @@ func expX08() Experiment {
 	}
 	e.Run = func(p Params) (*Result, error) {
 		res := e.newResult()
-		side := p.scaledSide(96)
-		g, err := grid.New(side)
+		g, err := grid.New(p.scaledSide(96))
 		if err != nil {
 			return nil, err
 		}
 		n := g.N()
 		reps := p.reps(8)
-		ks := []int{16, 64, 256}
+		ks := sparseKs(n, 16, 64, 256)
+
+		sp := sweep.Spec{
+			Label: fmt.Sprintf("X8: sync vs async T_B vs k (n=%d, r=0)", n),
+			Base: scenario.Spec{Engine: scenario.EngineBroadcast, Nodes: n, Agents: ks[0],
+				Radius: 0, Seed: p.Seed, Source: 0, Reps: reps},
+			Axes: []sweep.Axis{
+				{Field: "agents", Values: intValues(ks)},
+				{Field: "mobility", Values: []any{"lazy", "async"}},
+			},
+		}
+		_, pts, err := runScenarioSweep(p, "X8", sp, true, repSteps)
+		if err != nil {
+			return nil, err
+		}
+		syncPts, asyncPts := pairs(pts)
 
 		table := tableio.NewTable(
 			fmt.Sprintf("Synchronous vs asynchronous broadcast (r=0), n=%d, %d reps", n, reps),
 			"k", "median T_B sync", "median T_B async", "sync/async")
 		verdict := VerdictPass
-		for pi, k := range ks {
-			if 2*k > n {
-				continue
-			}
-			k := k
-			stepCap := 4000 * side * side / k
-			sync, err := sweepPoint(p.Seed, pi, reps, float64(k), kernelTime(g, k, walk.Step, stepCap))
-			if err != nil {
-				return nil, err
-			}
-			async, err := sweepPoint(p.Seed, 60+pi, reps, float64(k), func(seed uint64) (float64, error) {
-				return asyncBroadcastTime(g, k, seed, stepCap)
-			})
-			if err != nil {
-				return nil, err
-			}
+		for i, k := range ks {
+			sync, async := syncPts[i], asyncPts[i]
 			ratio := sync.Sum.Median / async.Sum.Median
 			table.AddRow(k, sync.Sum.Median, async.Sum.Median, ratio)
 			if ratio > 3 || ratio < 1.0/3 {
@@ -70,23 +73,4 @@ func expX08() Experiment {
 		return res, nil
 	}
 	return e
-}
-
-// asyncBroadcastTime runs an r=0 broadcast under random sequential updates:
-// each time unit performs k single-agent moves with the mover drawn
-// uniformly (so every agent still takes one step per unit in expectation),
-// then rumors flood components. Returns the completion time in time units.
-func asyncBroadcastTime(g *grid.Grid, k int, seed uint64, stepCap int) (float64, error) {
-	r := newKernelRun(g, k, seed)
-	for t := 1; t <= stepCap; t++ {
-		for u := 0; u < k; u++ {
-			i := r.src.Intn(k)
-			r.pos[i] = walk.Step(g, r.pos[i], r.src)
-		}
-		r.exchange()
-		if r.n == k {
-			return float64(t), nil
-		}
-	}
-	return 0, fmt.Errorf("experiments: async broadcast hit cap %d with %d/%d informed", stepCap, r.n, k)
 }

@@ -56,6 +56,9 @@ func (c *Config) validate() error {
 	if c.K <= 0 {
 		return fmt.Errorf("frog: K must be positive, got %d", c.K)
 	}
+	if c.Radius < 0 {
+		return fmt.Errorf("frog: negative radius %d", c.Radius)
+	}
 	if c.Source != -1 && (c.Source < 0 || c.Source >= c.K) {
 		return fmt.Errorf("frog: source %d out of range [0,%d)", c.Source, c.K)
 	}

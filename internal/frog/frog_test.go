@@ -19,6 +19,7 @@ func TestValidation(t *testing.T) {
 		{Grid: g, K: 3, Source: 3},
 		{Grid: g, K: 3, Source: -2},
 		{Grid: g, K: 3, MaxSteps: -1},
+		{Grid: g, K: 3, Radius: -1},
 	}
 	for i, c := range bad {
 		if _, err := New(c); err == nil {

@@ -210,26 +210,3 @@ func HittingProbability(tr Trial) (float64, error) {
 	}
 	return float64(hits) / float64(tr.Trials), nil
 }
-
-// MeetingTime runs two synchronized walks from separation d until they
-// share a node anywhere on the grid (not restricted to the lens) and
-// returns the meeting time, capped at maxSteps (returns maxSteps and false
-// if they never met).
-func MeetingTime(d int, seed uint64, maxSteps int) (int, bool, error) {
-	if d < 1 {
-		return 0, false, fmt.Errorf("meeting: distance must be >= 1, got %d", d)
-	}
-	if maxSteps < 1 {
-		return 0, false, fmt.Errorf("meeting: maxSteps must be >= 1, got %d", maxSteps)
-	}
-	g, a, b := arena(d)
-	src := rng.New(seed)
-	for t := 1; t <= maxSteps; t++ {
-		a = walk.Step(g, a, src)
-		b = walk.Step(g, b, src)
-		if a == b {
-			return t, true, nil
-		}
-	}
-	return maxSteps, false, nil
-}

@@ -145,26 +145,6 @@ func TestCustomHorizonMonotone(t *testing.T) {
 	}
 }
 
-func TestMeetingTime(t *testing.T) {
-	t.Parallel()
-	tm, met, err := MeetingTime(4, 7, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !met {
-		t.Skip("walks did not meet within cap (rare); skipping")
-	}
-	if tm < 1 {
-		t.Errorf("meeting time %d < 1", tm)
-	}
-	if _, _, err := MeetingTime(0, 1, 10); err == nil {
-		t.Error("d=0 accepted")
-	}
-	if _, _, err := MeetingTime(2, 1, 0); err == nil {
-		t.Error("maxSteps=0 accepted")
-	}
-}
-
 func TestEstimatesDeterministic(t *testing.T) {
 	t.Parallel()
 	tr := Trial{Distance: 4, Trials: 500, Seed: 11}

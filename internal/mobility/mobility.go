@@ -5,10 +5,14 @@
 // motion; Zhang et al. on mobile conductance across mobility families)
 // treats the mobility model as the experimental variable. This package
 // defines the Model/State pair every engine (core, frog, coverage,
-// predator) steps populations through, and ships five implementations:
+// predator) steps populations through, and ships eight implementations:
 //
 //   - LazyWalk: the paper's kernel, bit-for-bit identical to the historical
 //     hardcoded stepping path under equal seeds.
+//   - Torus, Simple and Async: the lazy walk's ablations, changing only the
+//     boundary (wraparound), the laziness (every step moves) or the
+//     schedule (random sequential updates). Simple is built in code only;
+//     Async's StepAgent is the plain lazy step (see Async).
 //   - RandomWaypoint: pick a uniform destination node, walk toward it one
 //     lattice step at a time, optionally pause on arrival, repick.
 //   - LevyFlight: truncated power-law jump lengths with uniform headings,
@@ -17,6 +21,9 @@
 //     the torus.
 //   - TraceReplay: replays a recorded internal/trace trajectory, looping or
 //     truncating at the end.
+//
+// Outside this package, internal/barrier's Domain.Walk is the lazy walk
+// on a grid with blocked nodes.
 //
 // A Model is a small immutable description (safe to share and reuse); Bind
 // compiles it against a concrete grid and population size into a State that

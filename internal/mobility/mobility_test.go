@@ -42,6 +42,9 @@ func recordLazyTrace(t testing.TB, side, k, steps int, seed uint64) *trace.Trace
 func allModels(t testing.TB, side int) []mobility.Model {
 	return []mobility.Model{
 		mobility.LazyWalk{},
+		mobility.Torus{},
+		mobility.Async{},
+		mobility.Simple{},
 		mobility.RandomWaypoint{Pause: 1},
 		mobility.LevyFlight{},
 		mobility.Ballistic{},
@@ -168,6 +171,67 @@ func TestLazyWalkMatchesHistoricalKernel(t *testing.T) {
 		for i := range ref {
 			ref[i] = walk.Step(g, ref[i], src)
 		}
+	}
+}
+
+// TestAblationModelsMatchKernels pins the ablation models to the walk
+// kernels and schedules they wrap: uniform placement drawing X then Y per
+// agent, then torus and simple stepping every agent through walk.TorusStep
+// or walk.SimpleStep in index order, and async making k moves per step,
+// each an Intn(k) draw followed by one walk.Step of the drawn agent.
+func TestAblationModelsMatchKernels(t *testing.T) {
+	t.Parallel()
+	const side, k, steps = 16, 12, 300
+	g := grid.MustNew(side)
+	perAgent := func(step func(*grid.Grid, grid.Point, *rng.Source) grid.Point) func([]grid.Point, *rng.Source) {
+		return func(pos []grid.Point, src *rng.Source) {
+			for i := range pos {
+				pos[i] = step(g, pos[i], src)
+			}
+		}
+	}
+	cases := []struct {
+		m    mobility.Model
+		step func(pos []grid.Point, src *rng.Source)
+	}{
+		{mobility.Torus{}, perAgent(walk.TorusStep)},
+		{mobility.Simple{}, perAgent(walk.SimpleStep)},
+		{mobility.Async{}, func(pos []grid.Point, src *rng.Source) {
+			for u := 0; u < len(pos); u++ {
+				i := src.Intn(len(pos))
+				pos[i] = walk.Step(g, pos[i], src)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.m.Name(), func(t *testing.T) {
+			t.Parallel()
+			pop, err := agent.NewWithModel(g, k, rng.New(43), c.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := rng.New(43)
+			ref := make([]grid.Point, k)
+			for i := range ref {
+				ref[i] = grid.Point{X: int32(src.Intn(side)), Y: int32(src.Intn(side))}
+			}
+			var moved []int32
+			for s := 0; s <= steps; s++ {
+				for i := range ref {
+					if pop.Position(i) != ref[i] {
+						t.Fatalf("t=%d agent %d: %v != kernel %v", s, i, pop.Position(i), ref[i])
+					}
+				}
+				// Alternate the two population paths: both must run the
+				// model's own Step.
+				if s%2 == 0 {
+					pop.Step()
+				} else {
+					moved, _ = pop.StepMoved(moved[:0])
+				}
+				c.step(ref, src)
+			}
+		})
 	}
 }
 
@@ -317,6 +381,8 @@ func TestParse(t *testing.T) {
 		"levy:alpha=1.2,max=9": mobility.LevyFlight{Alpha: 1.2, MaxJump: 9},
 		"ballistic":            mobility.Ballistic{},
 		"ballistic:turn=0.25":  mobility.Ballistic{TurnProb: 0.25},
+		"torus":                mobility.Torus{},
+		"async":                mobility.Async{},
 	}
 	for spec, want := range good {
 		m, err := mobility.Parse(spec)
@@ -331,7 +397,7 @@ func TestParse(t *testing.T) {
 	bad := []string{
 		"teleport", "lazy:fast=1", "waypoint:pause=x", "levy:alpha",
 		"levy:speed=3", "trace:", "trace:/definitely/missing.mtr",
-		"ballistic:turn=a",
+		"ballistic:turn=a", "torus:x=1", "async:x=1", "simple",
 	}
 	for _, spec := range bad {
 		if _, err := mobility.Parse(spec); err == nil {

@@ -12,22 +12,26 @@ import (
 // Parse builds a Model from a CLI-style spec string. The grammar is
 //
 //	lazy
+//	torus
+//	async
 //	waypoint[:pause=N]
 //	levy[:alpha=F][,max=N]
 //	ballistic[:turn=F]
 //	trace:FILE[,loop]
 //
 // with model-specific options after the first colon, comma-separated.
+// Simple and barrier-domain walks are built in code and have no spec.
 // Unknown models and malformed options are errors; parameter-range errors
 // (e.g. a negative pause) surface later, at Bind time.
 func Parse(spec string) (Model, error) {
 	name, opts, _ := strings.Cut(spec, ":")
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "lazy", "lazywalk", "":
-		if opts != "" {
-			return nil, fmt.Errorf("mobility: lazy takes no options, got %q", opts)
-		}
-		return LazyWalk{}, nil
+		return bare(LazyWalk{}, opts)
+	case "torus":
+		return bare(Torus{}, opts)
+	case "async":
+		return bare(Async{}, opts)
 	case "waypoint":
 		m := RandomWaypoint{}
 		err := parseOpts(opts, map[string]func(string) error{
@@ -71,7 +75,7 @@ func Parse(spec string) (Model, error) {
 		}
 		return TraceReplay{Trace: t, Loop: loop}, nil
 	default:
-		return nil, fmt.Errorf("mobility: unknown model %q (want lazy|waypoint|levy|ballistic|trace)", name)
+		return nil, fmt.Errorf("mobility: unknown model %q (want lazy|torus|async|waypoint|levy|ballistic|trace)", name)
 	}
 }
 
@@ -114,6 +118,14 @@ func CanonicalSpec(m Model) string {
 	default:
 		return m.Name()
 	}
+}
+
+// bare returns a model that takes no options, rejecting any.
+func bare(m Model, opts string) (Model, error) {
+	if opts != "" {
+		return nil, fmt.Errorf("mobility: %s takes no options, got %q", m.Name(), opts)
+	}
+	return m, nil
 }
 
 // parseOpts applies "key=value" options, comma-separated, through the given

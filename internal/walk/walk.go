@@ -157,12 +157,12 @@ func StepAllMoved(g *grid.Grid, pos []grid.Point, buf []uint64, src *rng.Source,
 // SimpleStep advances a non-lazy simple-random-walk step: the agent always
 // moves, choosing uniformly among its nv grid neighbours.
 //
-// This kernel is NOT the paper's model — it exists for the laziness
-// ablation (experiment X3). On the bipartite grid a simple walk preserves
-// coordinate parity ((x+y) mod 2 alternates deterministically), so two
-// simple walks whose initial separation is odd can never co-occupy a node:
-// r=0 dissemination deadlocks. The paper's 1/5-lazy kernel breaks parity
-// and avoids this failure mode.
+// This kernel is NOT the paper's model — it serves mobility.Simple, the
+// laziness ablation (experiment X3). On the bipartite grid a simple walk
+// preserves coordinate parity ((x+y) mod 2 alternates deterministically),
+// so two simple walks whose initial separation is odd can never co-occupy
+// a node: r=0 dissemination deadlocks. The paper's 1/5-lazy kernel breaks
+// parity and avoids this failure mode.
 func SimpleStep(g *grid.Grid, p grid.Point, src *rng.Source) grid.Point {
 	side := int32(g.Side())
 	if side == 1 {
@@ -195,9 +195,9 @@ func SimpleStep(g *grid.Grid, p grid.Point, src *rng.Source) grid.Point {
 // has nv = 4 and the walk stays at each node with probability exactly 1/5.
 //
 // The paper works on the bounded grid and handles boundaries through the
-// reflection principle (its Lemma 1 proof); the torus kernel exists for the
-// boundary ablation (experiment X7), which checks that boundary effects
-// only cost constants.
+// reflection principle (its Lemma 1 proof); the torus kernel serves
+// mobility.Torus, the boundary ablation (experiment X7), which checks that
+// boundary effects only cost constants.
 func TorusStep(g *grid.Grid, p grid.Point, src *rng.Source) grid.Point {
 	side := int32(g.Side())
 	if side == 1 {

@@ -135,8 +135,12 @@ func TraceReplay(r io.Reader, loop bool) (Mobility, error) {
 
 // ParseMobility builds a Mobility from a CLI-style spec string:
 //
-//	lazy | waypoint[:pause=N] | levy[:alpha=F,max=N] |
+//	lazy | torus | async | waypoint[:pause=N] | levy[:alpha=F,max=N] |
 //	ballistic[:turn=F] | trace:FILE[,loop]
+//
+// torus and async are the lazy walk's boundary and synchrony ablations:
+// wraparound instead of boundary truncation, and k random single-agent
+// moves per step instead of lockstep motion.
 func ParseMobility(spec string) (Mobility, error) {
 	m, err := mobility.Parse(spec)
 	if err != nil {
@@ -147,7 +151,8 @@ func ParseMobility(spec string) (Mobility, error) {
 
 // WithMobility sets the motion model for every simulation the Network
 // runs (broadcast, gossip, frog, cover, extinction). The default is the
-// paper's lazy walk.
+// paper's lazy walk. BroadcastWithObstacles does not apply it: its agents
+// walk the obstacle domain.
 func WithMobility(m Mobility) Option {
 	return func(o *options) error {
 		o.mobility = m.model
@@ -479,7 +484,9 @@ func FloorRadius(r float64) int { return visibility.FloorRadius(r) }
 
 // Obstacles describes mobility barriers for BroadcastWithObstacles — the
 // extension the paper names as future work in §4. Barriers block movement
-// but not radio; agents are placed on the largest connected free region.
+// but not radio; agents are placed on the largest connected free region
+// and walk the paper's lazy walk, with a move into a blocked node replaced
+// by staying put.
 type Obstacles struct {
 	// WallColumn, when >= 0, erects a vertical wall at that x with a
 	// centred gap of WallGap nodes.
@@ -500,7 +507,9 @@ var OpenDomain = Obstacles{WallColumn: -1}
 // BroadcastWithObstacles runs a broadcast on a copy of the network's grid
 // with the given mobility barriers. The step cap defaults to 400*n when
 // WithMaxSteps was not supplied (constricted domains have no closed-form
-// envelope).
+// envelope). The run honours WithSource and WithObservations like
+// Broadcast, but not WithMobility: agents walk the domain's lazy walk. It
+// records no informed curve and no coverage time.
 func (nw *Network) BroadcastWithObstacles(o Obstacles) (BroadcastResult, error) {
 	d, err := barrier.NewDomain(nw.g)
 	if err != nil {
@@ -516,20 +525,17 @@ func (nw *Network) BroadcastWithObstacles(o Obstacles) (BroadcastResult, error) 
 			return BroadcastResult{}, err
 		}
 	}
-	maxSteps := nw.opt.maxSteps
-	if maxSteps == 0 {
-		maxSteps = 400 * nw.g.N()
+	cfg := nw.coreConfig()
+	cfg.Mobility = d.Walk()
+	if cfg.MaxSteps == 0 {
+		cfg.MaxSteps = 400 * nw.g.N()
 	}
-	r, err := barrier.RunBroadcast(barrier.Config{
-		Domain:             d,
-		K:                  nw.k,
-		Radius:             nw.opt.radius,
-		Seed:               nw.opt.seed,
-		MaxSteps:           maxSteps,
-		ConnectedPlacement: true,
-	})
+	b, err := core.NewBroadcast(cfg)
 	if err != nil {
 		return BroadcastResult{}, err
 	}
-	return BroadcastResult{Steps: r.Steps, Completed: r.Completed, CoverageSteps: -1}, nil
+	series := nw.drive(b, cfg.StepCap(), "broadcast")
+	r := b.Result()
+	return BroadcastResult{Steps: r.Steps, Completed: r.Completed, Source: r.Source,
+		CoverageSteps: r.CoverageSteps, Series: series}, nil
 }

@@ -308,6 +308,35 @@ func TestBroadcastWithObstacles(t *testing.T) {
 	}
 }
 
+// TestBroadcastWithObstaclesSourceAndObservations: the obstacle broadcast
+// is the ordinary broadcast engine on the domain's walk, so it starts from
+// the WithSource agent and records the WithObservations series.
+func TestBroadcastWithObstaclesSourceAndObservations(t *testing.T) {
+	t.Parallel()
+	nw, err := New(16*16, 8, WithSeed(41), WithSource(5),
+		WithObservations(Observation{Observables: []string{"informed"}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := nw.BroadcastWithObstacles(Obstacles{WallColumn: 8, WallGap: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed || res.Source != 5 {
+		t.Fatalf("result %+v, want a completed run from agent 5", res)
+	}
+	if res.Series == nil {
+		t.Fatal("no series recorded under WithObservations")
+	}
+	steps, informed := res.Series.Steps, res.Series.Values["informed"]
+	if len(steps) != res.Steps+1 || steps[len(steps)-1] != res.Steps {
+		t.Fatalf("series steps %d..%d, want 0..%d", steps[0], steps[len(steps)-1], res.Steps)
+	}
+	if informed[0] < 1 || informed[len(informed)-1] != 8 {
+		t.Errorf("informed series runs %v..%v, want >= 1 .. 8", informed[0], informed[len(informed)-1])
+	}
+}
+
 func TestObstaclesNone(t *testing.T) {
 	t.Parallel()
 	if !OpenDomain.None() {
